@@ -14,7 +14,6 @@ from .scene import (
     default_surfaces,
     discretize,
     standard_room,
-    validate,
 )
 from .channel import (
     ChannelMetrics,

@@ -15,12 +15,11 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .channel import GainTable
-from .link import ReceiverFrontEnd, DEFAULT_FRONT_END, ELECTRON_CHARGE_C, sinr as link_sinr
+from .link import DEFAULT_FRONT_END, ReceiverFrontEnd, SinrModel
 from .scene import WAVELENGTHS, Wavelength
 
 EXHAUSTIVE_SPACE_LIMIT = 1e7
@@ -84,52 +83,23 @@ class SolverConfig:
     objective: str = "db"          # "db" (sum of dB values) or "linear"
     k: int = 16                    # candidate cap per user
     time_limit_s: float | None = None
-    tie_break: str = "lexicographic"
 
     def __post_init__(self) -> None:
         if self.objective not in ("db", "linear"):
             raise ValueError(f"objective must be 'db' or 'linear', got {self.objective!r}")
         if self.k < 1:
             raise ValueError(f"candidate cap must be >= 1, got {self.k}")
-        if self.tie_break != "lexicographic":
-            raise ValueError(f"unsupported tie-break rule {self.tie_break!r}")
 
 
-class _Evaluator:
-    """Vectorized SINR arithmetic mirroring link.sinr for search inner loops."""
-
-    def __init__(self, table: GainTable, front_end: ReceiverFrontEnd, scale: str):
-        resp = np.array([front_end.responsivity(wl) for wl in WAVELENGTHS])
-        # currents[u, b, a, k]: photocurrent of pair (a, k) seen on branch b
-        self.currents = table.dc * table.tx_power_w[None, None, :, :] * resp[None, None, None, :]
-        total = self.currents.sum(axis=(2, 3))  # every pair radiates regardless of assignment
-        b_rx = front_end.bandwidth_hz
-        self.sigma2 = 2.0 * ELECTRON_CHARGE_C * total * b_rx + front_end.noise_density_a_rthz**2 * b_rx
-        self.crosstalk = front_end.crosstalk
-        self.scale = scale
-
-    def user_sinr_linear(self, cand: Candidate, others: Sequence[Candidate]) -> float:
-        u, b = cand.user, cand.branch
-        i_sig = self.currents[u, b, cand.ap, cand.wavelength.index]
-        if i_sig <= 0.0:
-            return 0.0
-        denom = self.sigma2[u, b]
-        for other in others:
-            if other.wavelength == cand.wavelength:
-                denom += self.currents[u, b, other.ap, other.wavelength.index] ** 2
-            elif self.crosstalk > 0.0:
-                leak = self.crosstalk * self.currents[u, b, other.ap, other.wavelength.index]
-                denom += leak * leak
-        return float(i_sig * i_sig / denom)
-
-    def score(self, cands: Sequence[Candidate]) -> float:
-        total = 0.0
-        for i, cand in enumerate(cands):
-            lin = self.user_sinr_linear(cand, [c for j, c in enumerate(cands) if j != i])
-            if lin <= 0.0:
-                return float("-inf")
-            total += 10.0 * math.log10(lin) if self.scale == "db" else lin
-        return total
+def _score(model: SinrModel, cands: Sequence[Candidate], scale: str) -> float:
+    """Sum of the users' SINRs in dB or linear; -inf if any user has no signal."""
+    total = 0.0
+    for i, cand in enumerate(cands):
+        lin = model.sinr_linear(cand.user, cand, [c for j, c in enumerate(cands) if j != i])
+        if lin <= 0.0:
+            return float("-inf")
+        total += 10.0 * math.log10(lin) if scale == "db" else lin
+    return total
 
 
 def candidates(
@@ -139,14 +109,14 @@ def candidates(
     config: SolverConfig = SolverConfig(),
 ) -> list[Candidate]:
     """All positive-gain triples for a user, best interference-free SINR first."""
-    ev = _Evaluator(table, front_end, "db")
+    model = SinrModel(table, front_end)
     out = []
     for b in range(table.n_branches):
         for a in range(table.n_aps):
             for wl in WAVELENGTHS:
                 if table.dc[user, b, a, wl.index] > 0.0:
                     cand = Candidate(user, a, b, wl, 0.0)
-                    lin = ev.user_sinr_linear(cand, ())
+                    lin = model.sinr_linear(user, cand, ())
                     if lin > 0.0:
                         out.append(replace(cand, iso_sinr_db=10.0 * math.log10(lin)))
     if not out:
@@ -161,28 +131,17 @@ def objective(
     front_end: ReceiverFrontEnd = DEFAULT_FRONT_END,
     config: SolverConfig = SolverConfig(),
 ) -> float:
-    """Exact objective: sum of link.sinr over users, on the configured scale."""
+    """Exact objective: sum of the users' SINRs, on the configured scale."""
     entries = assignment.entries if isinstance(assignment, Assignment) else dict(assignment)
-    total = 0.0
-    for user in sorted(entries):  # fixed summation order, independent of dict order
-        db = link_sinr(user, entries, table, front_end)
-        if db == float("-inf"):
-            return float("-inf")
-        total += db if config.objective == "db" else 10.0 ** (db / 10.0)
-    return total
+    # fixed summation order, independent of dict order
+    return _score(SinrModel(table, front_end), [entries[u] for u in sorted(entries)], config.objective)
 
 
-def _finalize(
-    picks: Sequence[Candidate],
-    table: GainTable,
-    front_end: ReceiverFrontEnd,
-    config: SolverConfig,
-    proven: bool,
-) -> Assignment:
+def _finalize(picks: Sequence[Candidate], evaluate, config: SolverConfig, proven: bool) -> Assignment:
     entries = {c.user: c for c in picks}
     result = Assignment(
         entries=entries,
-        objective_value=objective(entries, table, front_end, config) if entries else 0.0,
+        objective_value=evaluate([entries[u] for u in sorted(entries)]),  # objective()'s order
         objective_scale=config.objective,
         proven_optimal=proven,
     )
@@ -208,7 +167,7 @@ def solve_exhaustive(
         raise SearchSpaceLimitError(
             f"search space {space:.3g} exceeds the {EXHAUSTIVE_SPACE_LIMIT:.0g} limit"
         )
-    ev = _Evaluator(table, front_end, config.objective)
+    evaluate = partial(_score, SinrModel(table, front_end), scale=config.objective)
     best_score = float("-inf")
     best: tuple[Candidate, ...] | None = None
     best_key: tuple | None = None
@@ -222,13 +181,13 @@ def solve_exhaustive(
             resources.add(c.resource)
         if not ok:
             continue
-        score = ev.score(combo)
+        score = evaluate(combo)
         key = tuple(c.key for c in sorted(combo, key=lambda c: c.user))
         if score > best_score or (score == best_score and (best_key is None or key < best_key)):
             best_score, best, best_key = score, combo, key
     if best is None:
         raise InfeasibleUserError("no feasible assignment exists for the instance")
-    return _finalize(best, table, front_end, config, proven=True)
+    return _finalize(best, evaluate, config, proven=True)
 
 
 def _first_feasible(order, idx, picks, used, cand_lists):
@@ -249,7 +208,7 @@ def _first_feasible(order, idx, picks, used, cand_lists):
     return None
 
 
-def _greedy_construct(order, cand_lists, ev) -> dict[int, Candidate] | None:
+def _greedy_construct(order, cand_lists, evaluate) -> dict[int, Candidate] | None:
     """Score-greedy placement; falls back to plain feasibility search on a
     dead end so a feasible instance never fails to produce an assignment."""
     picks: dict[int, Candidate] = {}
@@ -260,7 +219,7 @@ def _greedy_construct(order, cand_lists, ev) -> dict[int, Candidate] | None:
         for c in cand_lists[u]:
             if c.resource in used:
                 continue
-            s = ev.score(placed + [c])
+            s = evaluate(placed + [c])
             if s > best_s:
                 best_c, best_s = c, s
         if best_c is None:
@@ -270,9 +229,9 @@ def _greedy_construct(order, cand_lists, ev) -> dict[int, Candidate] | None:
     return picks
 
 
-def _local_search(picks, order, cand_lists, ev) -> float:
+def _local_search(picks, order, cand_lists, evaluate) -> float:
     """Single-move, pairwise-swap and ejection-chain improvement, in place."""
-    score_now = ev.score(list(picks.values()))
+    score_now = evaluate(list(picks.values()))
     improved = True
     rounds = 0
     while improved and rounds < 50:
@@ -285,7 +244,7 @@ def _local_search(picks, order, cand_lists, ev) -> float:
             for c in cand_lists[u]:
                 if c.resource in taken or c == picks[u]:
                     continue
-                s = ev.score(others + [c])
+                s = evaluate(others + [c])
                 if s > score_now + 1e-12:
                     picks[u] = c
                     score_now = s
@@ -301,7 +260,7 @@ def _local_search(picks, order, cand_lists, ev) -> float:
                 for cb in cand_lists[ub]:
                     if cb.resource in taken or cb.resource == ca.resource:
                         continue
-                    s = ev.score(rest + [ca, cb])
+                    s = evaluate(rest + [ca, cb])
                     if s > best_s + 1e-12:
                         best_pair, best_s = (ca, cb), s
             if best_pair != (picks[ua], picks[ub]):
@@ -321,7 +280,7 @@ def _local_search(picks, order, cand_lists, ev) -> float:
                 for cv in cand_lists[victim]:
                     if cv.resource in taken:
                         continue
-                    s = ev.score(rest + [c, cv])
+                    s = evaluate(rest + [c, cv])
                     if s > score_now + 1e-12:
                         picks[u], picks[victim] = c, cv
                         score_now = s
@@ -343,7 +302,7 @@ def solve_greedy(
     if not users:
         return Assignment({}, 0.0, config.objective, True)
     cand_lists = {u: candidates(u, table, front_end, config) for u in users}
-    ev = _Evaluator(table, front_end, config.objective)
+    evaluate = partial(_score, SinrModel(table, front_end), scale=config.objective)
     order = sorted(users, key=lambda u: (-cand_lists[u][0].iso_sinr_db, u))
 
     best_picks: dict[int, Candidate] | None = None
@@ -352,10 +311,10 @@ def solve_greedy(
     n_starts = min(len(order), 8)
     for shift in range(n_starts):
         start_order = order[shift:] + order[:shift]
-        picks = _greedy_construct(start_order, cand_lists, ev)
+        picks = _greedy_construct(start_order, cand_lists, evaluate)
         if picks is None:
             continue
-        score = _local_search(picks, order, cand_lists, ev)
+        score = _local_search(picks, order, cand_lists, evaluate)
         key = tuple(picks[u].key for u in sorted(picks))
         if score > best_score or (score == best_score and (best_key is None or key < best_key)):
             best_picks, best_score, best_key = dict(picks), score, key
@@ -363,8 +322,8 @@ def solve_greedy(
         best_picks = _first_feasible(order, 0, {}, set(), cand_lists)
         if best_picks is None:
             raise InfeasibleUserError("no conflict-free assignment exists for the instance")
-        _local_search(best_picks, order, cand_lists, ev)
-    return _finalize([best_picks[u] for u in order], table, front_end, config, proven=False)
+        _local_search(best_picks, order, cand_lists, evaluate)
+    return _finalize([best_picks[u] for u in order], evaluate, config, proven=False)
 
 
 def solve_exact(
@@ -378,17 +337,17 @@ def solve_exact(
     if not users:
         return Assignment({}, 0.0, config.objective, True)
     cand_lists = {u: candidates(u, table, front_end, config) for u in users}
-    ev = _Evaluator(table, front_end, config.objective)
+    evaluate = partial(_score, SinrModel(table, front_end), scale=config.objective)
     order = sorted(users, key=lambda u: (-cand_lists[u][0].iso_sinr_db, u))
     start = time.monotonic()
     deadline = None if config.time_limit_s is None else start + config.time_limit_s
 
     # cheap single-start incumbent; branch-and-bound does the real work
-    warm = _greedy_construct(order, cand_lists, ev)
+    warm = _greedy_construct(order, cand_lists, evaluate)
     if warm is not None:
-        _local_search(warm, order, cand_lists, ev)
+        _local_search(warm, order, cand_lists, evaluate)
         incumbent = [warm[u] for u in order]
-        best_score = ev.score(incumbent)
+        best_score = evaluate(incumbent)
         best_key = tuple(warm[u].key for u in sorted(warm))
     else:
         incumbent = None
@@ -421,7 +380,7 @@ def solve_exact(
             timed_out = True
             return
         if depth == len(order):
-            score = ev.score(placed)
+            score = evaluate(placed)
             key = tuple(c.key for c in sorted(placed, key=lambda c: c.user))
             if score > best_score or (score == best_score and (best_key is None or key < best_key)):
                 best_score, best_key, incumbent = score, key, list(placed)
@@ -432,7 +391,7 @@ def solve_exact(
                 continue
             placed.append(c)
             used.add(c.resource)
-            bound = ev.score(placed) + remaining_bound(depth + 1, used)
+            bound = evaluate(placed) + remaining_bound(depth + 1, used)
             if bound >= best_score - _BOUND_SLACK:
                 dfs(depth + 1, placed, used)
             placed.pop()
@@ -441,7 +400,7 @@ def solve_exact(
     dfs(0, [], set())
     if incumbent is None:
         raise InfeasibleUserError("no conflict-free assignment exists for the instance")
-    return _finalize(incumbent, table, front_end, config, proven=not timed_out)
+    return _finalize(incumbent, evaluate, config, proven=not timed_out)
 
 
 def assignment_csv_lines(assignment: Assignment) -> list[str]:

@@ -12,19 +12,9 @@ import argparse
 import os
 import sys
 
-import yaml
-
 from . import allocator
-from .experiment import (
-    ConfigError,
-    ExperimentConfig,
-    load_config,
-    preset_config,
-    run_experiment,
-    scenario_preset,
-)
-from .geometry import Vec3
-from .scene import SceneValidationError, standard_room
+from .experiment import ConfigError, ExperimentConfig, parse_config, read_config, read_yaml, run_experiment
+from .scene import SceneValidationError
 from .link import UnsupportedLinkError
 
 
@@ -35,72 +25,50 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the full scene -> gains -> allocation -> report pipeline")
     run.add_argument("--room", required=True, help="preset id (A/B/C) or YAML config path")
     run.add_argument("--scenario", default=None, help="preset scenario (1/2) or YAML file with users")
-    run.add_argument("--order", type=int, default=2, choices=(0, 1, 2), help="max reflection order")
-    run.add_argument("--solver", default="exact", choices=("exact", "greedy", "exhaustive"))
+    # flags without a default leave the config file's value (or its default) in place
+    run.add_argument("--order", type=int, choices=(0, 1, 2), help="max reflection order (default 2)")
+    run.add_argument("--solver", choices=("exact", "greedy", "exhaustive"), help="default exact")
     run.add_argument("--out", required=True, help="output directory for the run artifacts")
-    run.add_argument("--k", type=int, default=16, help="candidate cap per user")
-    run.add_argument("--objective", default="db", choices=("db", "linear"))
+    run.add_argument("--k", type=int, help="candidate cap per user (default 16)")
+    run.add_argument("--objective", choices=("db", "linear"), help="default db")
     run.add_argument("--element-size", type=float, default=None,
                      help="first-order element edge in metres (second order uses twice this)")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--workers", type=int, default=1)
+    run.add_argument("--workers", type=int, help="channel tracing processes (default 1)")
     return parser
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    solver_cfg = allocator.SolverConfig(objective=args.objective, k=args.k)
-    overrides = dict(
-        solver_mode=args.solver,
-        solver=solver_cfg,
-        max_order=args.order,
-        out_dir=args.out,
-        seed=args.seed,
-        workers=args.workers,
-    )
-    if args.element_size is not None:
-        overrides["dx1_m"] = args.element_size
-        overrides["dx2_m"] = 2.0 * args.element_size
-
+    """The room's YAML mapping or preset, the --scenario users, then every
+    flag that was passed, parsed by the one config parser."""
     if os.path.exists(args.room):
-        config = load_config(args.room)
-        for key, val in overrides.items():
-            setattr(config, key, val)
-        if args.scenario and os.path.exists(args.scenario):
-            config.users = _users_from_file(args.scenario)
-            config.scenario_label = ""
-        elif args.scenario and config.room.name in ("A", "B", "C"):
-            config.users = scenario_preset(config.room.name, int(args.scenario))
-            config.scenario_label = str(int(args.scenario))
-        config.validate()
-        return config
-
-    if args.room.upper() in ("A", "B", "C"):
+        raw = read_config(args.room)
+    elif args.room.upper() in ("A", "B", "C"):
         if args.scenario is None:
             raise ConfigError(["--scenario is required with a preset room"])
-        if os.path.exists(args.scenario):
-            room = standard_room(args.room)
-            config = ExperimentConfig(room=room, users=_users_from_file(args.scenario),
-                                      room_label=room.name, **overrides)
-            config.validate()
-            return config
-        return preset_config(args.room, int(args.scenario), **overrides)
+        raw = {"room": args.room}
+    else:
+        raise ConfigError([f"--room {args.room!r} is neither a preset id nor an existing file"])
 
-    raise ConfigError([f"--room {args.room!r} is neither a preset id nor an existing file"])
+    if args.scenario is not None and os.path.exists(args.scenario):
+        users = read_yaml(args.scenario)
+        raw["users"] = users.get("users", users) if isinstance(users, dict) else users
+    elif args.scenario is not None:
+        raw.pop("users", None)
+        raw["scenario"] = args.scenario
 
-
-def _users_from_file(path: str) -> list[Vec3]:
-    with open(path, "r") as fh:
-        raw = yaml.safe_load(fh)
-    entries = raw.get("users", raw) if isinstance(raw, dict) else raw
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError([f"{path} must list user positions under 'users'"])
-    users = []
-    for entry in entries:
-        vals = [float(v) for v in entry]
-        if len(vals) == 2:
-            vals.append(1.0)
-        users.append(Vec3(*vals))
-    return users
+    dx = args.element_size
+    overlay = {
+        "channel": {"order": args.order, "dx1_m": dx, "dx2_m": None if dx is None else 2.0 * dx},
+        "solver": {"mode": args.solver, "k": args.k, "objective": args.objective},
+    }
+    for section, values in overlay.items():
+        passed = {key: val for key, val in values.items() if val is not None}
+        if passed:
+            raw[section] = {**(raw.get(section) or {}), **passed}
+    if args.workers is not None:
+        raw["workers"] = args.workers
+    raw["out"] = args.out
+    return parse_config(raw)
 
 
 def main(argv=None) -> int:

@@ -79,7 +79,6 @@ class ExperimentConfig:
     dispersion_factor: float = channel.DEFAULT_DISPERSION_FACTOR
     front_end: link.ReceiverFrontEnd = field(default_factory=link.ReceiverFrontEnd)
     out_dir: str = "run_out"
-    seed: int = 0
     workers: int = 1
     room_label: str = ""
     scenario_label: str = ""
@@ -135,16 +134,30 @@ def _room_from_mapping(data: dict, errors: list[str]) -> RoomSpec | None:
     return RoomSpec(width, length, height, surfaces, tuple(aps), name=str(data.get("name", "custom")))
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate a YAML experiment file, reporting every problem."""
+def read_yaml(path: str):
+    """Load a YAML file, reporting a syntax error as a ConfigError."""
     try:
         with open(path, "r") as fh:
-            raw = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError([f"cannot parse {path}: {exc}"]) from exc
+
+
+def read_config(path: str) -> dict:
+    """The top-level mapping of a YAML experiment file."""
+    raw = read_yaml(path)
     if not isinstance(raw, dict):
         raise ConfigError([f"{path} must contain a mapping at the top level"])
+    return raw
 
+
+def load_config(path: str) -> ExperimentConfig:
+    """Parse and validate a YAML experiment file, reporting every problem."""
+    return parse_config(read_config(path))
+
+
+def parse_config(raw: dict) -> ExperimentConfig:
+    """Build and validate a config from its mapping, reporting every problem."""
     errors: list[str] = []
     room: RoomSpec | None = None
     room_label = ""
@@ -163,12 +176,15 @@ def load_config(path: str) -> ExperimentConfig:
     users: list[Vec3] = []
     scenario_label = ""
     if "users" in raw:
-        for i, entry in enumerate(raw["users"] or []):
+        entries = raw["users"] or []
+        if not isinstance(entries, list):
+            errors.append("users must be a list of [x, y] or [x, y, z] positions")
+            entries = []
+        for i, entry in enumerate(entries):
             try:
-                vals = [float(v) for v in entry]
+                vals = [float(v) for v in entry] if isinstance(entry, (list, tuple)) else []
             except (TypeError, ValueError):
-                errors.append(f"users[{i}] must be [x, y] or [x, y, z]")
-                continue
+                vals = []
             if len(vals) == 2:
                 vals.append(RECEIVER_PLANE_Z_M)
             if len(vals) != 3:
@@ -218,14 +234,14 @@ def load_config(path: str) -> ExperimentConfig:
         solver_mode=str(sv.get("mode", "exact")),
         solver=solver_cfg,
         max_order=int(ch.get("order", 2)),
-        dt_s=float(ch.get("dt_ns", channel.DEFAULT_DT_S * 1e9)) * 1e-9,
+        # an absent key keeps the exact default: ns -> s does not round-trip
+        dt_s=float(ch["dt_ns"]) * 1e-9 if "dt_ns" in ch else channel.DEFAULT_DT_S,
         dx1_m=float(ch.get("dx1_m", DEFAULT_FIRST_ORDER_DX_M)),
         dx2_m=float(ch.get("dx2_m", DEFAULT_SECOND_ORDER_DX_M)),
         f_cap_hz=float(ch.get("f_cap_ghz", channel.DEFAULT_F_CAP_HZ / 1e9)) * 1e9,
         dispersion_factor=float(ch.get("dispersion_factor", channel.DEFAULT_DISPERSION_FACTOR)),
         front_end=front_end,
         out_dir=str(raw.get("out", "run_out")),
-        seed=int(raw.get("seed", 0)),
         workers=int(raw.get("workers", 1)),
         room_label=room_label,
         scenario_label=scenario_label,

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .channel import GainTable
 from .scene import WAVELENGTHS, Wavelength
 
@@ -105,17 +107,51 @@ def photocurrent(
 
 
 def noise_variance(
-    total_current_a: float, bandwidth_hz: float,
+    total_current_a: float | np.ndarray, bandwidth_hz: float,
     front_end: ReceiverFrontEnd = DEFAULT_FRONT_END,
-) -> float:
-    """Shot plus preamplifier noise: 2*q*I*B + N0^2*B."""
-    if total_current_a < 0.0:
+) -> float | np.ndarray:
+    """Shot plus preamplifier noise: 2*q*I*B + N0^2*B (elementwise on arrays)."""
+    if np.any(total_current_a < 0.0):
         raise ValueError("total current must be >= 0")
     if bandwidth_hz <= 0.0:
         raise ValueError("bandwidth must be > 0")
     shot = 2.0 * ELECTRON_CHARGE_C * total_current_a * bandwidth_hz
     preamp = front_end.noise_density_a_rthz**2 * bandwidth_hz
     return shot + preamp
+
+
+class SinrModel:
+    """Photocurrents and noise floors of one gain table seen through one
+    front end: the single SINR implementation behind search and reports.
+
+    Entries passed to ``sinr_linear`` are anything with ``ap``, ``branch``
+    and ``wavelength`` attributes.
+    """
+
+    def __init__(self, table: GainTable, front_end: ReceiverFrontEnd = DEFAULT_FRONT_END):
+        resp = np.array([front_end.responsivity(wl) for wl in WAVELENGTHS])
+        # currents[u, b, a, k]: photocurrent of pair (a, k) seen on branch b
+        self.currents = table.dc * table.tx_power_w[None, None, :, :] * resp[None, None, None, :]
+        # every pair radiates regardless of assignment, so the noise floor
+        # depends on the (user, branch) only
+        self.sigma2 = noise_variance(self.currents.sum(axis=(2, 3)), front_end.bandwidth_hz, front_end)
+        self.crosstalk = front_end.crosstalk
+
+    def sinr_linear(self, user: int, own, others: Iterable) -> float:
+        """i_sig^2 / (noise + co-channel^2 + leaked other-wavelength^2); 0 without signal."""
+        b = own.branch
+        i_sig = self.currents[user, b, own.ap, own.wavelength.index]
+        if i_sig <= 0.0:
+            return 0.0
+        denom = self.sigma2[user, b]
+        for other in others:
+            if other.wavelength == own.wavelength:
+                denom += self.currents[user, b, other.ap, other.wavelength.index] ** 2
+            elif self.crosstalk > 0.0:
+                # modulated other-wavelength light leaking past the demultiplexer
+                leak = self.crosstalk * self.currents[user, b, other.ap, other.wavelength.index]
+                denom += leak * leak
+        return float(i_sig * i_sig / denom)
 
 
 def classify_light(user: int, assignment: Mapping[int, object], table: GainTable):
@@ -148,45 +184,23 @@ def classify_light(user: int, assignment: Mapping[int, object], table: GainTable
     return signal, interference, background
 
 
-def _pair_current(
-    user: int, branch: int, pair: tuple[int, Wavelength],
-    table: GainTable, front_end: ReceiverFrontEnd,
-) -> float:
-    a, wl = pair
-    gain = float(table.dc[user, branch, a, wl.index])
-    return photocurrent(gain, float(table.tx_power_w[a, wl.index]), wl, front_end)
-
-
 def link_budget(
     user: int, assignment: Mapping[int, object], table: GainTable,
     front_end: ReceiverFrontEnd = DEFAULT_FRONT_END,
 ) -> LinkBudget:
     """Full current/noise/SINR breakdown for one user under an assignment."""
+    model = SinrModel(table, front_end)
     own = assignment[user]
-    signal_pair, interference, background = classify_light(user, assignment, table)
-    branch = own.branch
-    i_sig = _pair_current(user, branch, signal_pair, table, front_end)
-    i_int = tuple(_pair_current(user, branch, p, table, front_end) for p in interference)
-    i_bg = tuple(_pair_current(user, branch, p, table, front_end) for p in background)
-
-    total = i_sig + sum(i_int) + sum(i_bg)
-    var = noise_variance(total, front_end.bandwidth_hz, front_end)
-
-    interference_sq = sum(i * i for i in i_int)
-    if front_end.crosstalk > 0.0:
-        # modulated other-wavelength light leaking past the demultiplexer
-        modulated_other = [
-            _pair_current(user, branch, (e.ap, e.wavelength), table, front_end)
-            for v, e in assignment.items()
-            if v != user and e.wavelength != own.wavelength
-        ]
-        interference_sq += sum((front_end.crosstalk * i) ** 2 for i in modulated_other)
-
-    if i_sig <= 0.0:
-        sinr_db = float("-inf")
-    else:
-        sinr_db = 10.0 * math.log10(i_sig * i_sig / (var + interference_sq))
-    return LinkBudget(i_sig, i_int, i_bg, var, sinr_db)
+    _, interference, background = classify_light(user, assignment, table)
+    seen = model.currents[user, own.branch].tolist()  # [ap][wavelength index]
+    lin = model.sinr_linear(user, own, [e for v, e in assignment.items() if v != user])
+    return LinkBudget(
+        signal_a=seen[own.ap][own.wavelength.index],
+        interference_a=tuple(seen[a][wl.index] for a, wl in interference),
+        background_a=tuple(seen[a][wl.index] for a, wl in background),
+        noise_var_a2=float(model.sigma2[user, own.branch]),
+        sinr_db=10.0 * math.log10(lin) if lin > 0.0 else float("-inf"),
+    )
 
 
 def sinr(

@@ -51,27 +51,14 @@ class Wavelength(Enum):
     GREEN = "G"
     BLUE = "B"
 
-    @property
-    def index(self) -> int:
-        return _WAVELENGTH_ORDER[self]
+    def __init__(self, value: str) -> None:
+        self.index = len(type(self).__members__)  # position in declaration order
 
     def __lt__(self, other: "Wavelength") -> bool:
         return self.index < other.index
 
 
-_WAVELENGTH_ORDER = {
-    Wavelength.RED: 0,
-    Wavelength.YELLOW: 1,
-    Wavelength.GREEN: 2,
-    Wavelength.BLUE: 3,
-}
-
-WAVELENGTHS: tuple[Wavelength, ...] = (
-    Wavelength.RED,
-    Wavelength.YELLOW,
-    Wavelength.GREEN,
-    Wavelength.BLUE,
-)
+WAVELENGTHS: tuple[Wavelength, ...] = tuple(Wavelength)
 
 
 def _wavelength_map(values: Mapping, what: str) -> dict[Wavelength, float]:
@@ -399,14 +386,17 @@ def discretize(
     first_order_dx: float = DEFAULT_FIRST_ORDER_DX_M,
     second_order_dx: float = DEFAULT_SECOND_ORDER_DX_M,
 ) -> Scene:
-    """Tile every surface with square elements, one grid per bounce order."""
+    """Tile every surface with square elements, one grid per bounce order.
+
+    Raises SceneValidationError listing every room invariant violation.
+    """
+    errors = room.violations()
+    if errors:
+        raise SceneValidationError(errors)
     min_dim = min(room.width, room.length, room.height)
     for dx, label in ((first_order_dx, "first_order_dx"), (second_order_dx, "second_order_dx")):
         if not 0.0 < dx <= min_dim:
             raise ValueError(f"{label} must be in (0, {min_dim}], got {dx}")
-    errors = room.violations()
-    if errors:
-        raise SceneValidationError(errors)
 
     scene = Scene(
         room=room,
@@ -425,14 +415,3 @@ def discretize(
                 raise SceneValidationError([f"element tiling of {sid} off by more than 0.1%"])
     return scene
 
-
-def validate(
-    room: RoomSpec,
-    first_order_dx: float = DEFAULT_FIRST_ORDER_DX_M,
-    second_order_dx: float = DEFAULT_SECOND_ORDER_DX_M,
-) -> Scene:
-    """Return a Scene when all invariants hold, else raise with every violation."""
-    errors = room.violations()
-    if errors:
-        raise SceneValidationError(errors)
-    return discretize(room, first_order_dx, second_order_dx)

@@ -185,6 +185,21 @@ class TestExact:
         oracle = v.solve_exhaustive(range(3), table, config=cfg)
         assert exact.objective_value == oracle.objective_value
 
+    @pytest.mark.parametrize("objective", ["db", "linear"])
+    def test_crosstalk_search_agrees_with_oracle_and_reports(self, objective):
+        # crosstalk > 0 is the only setting in which the search sees leaked light
+        rng = np.random.default_rng(7)
+        table = random_gain_table(rng, n_users=4, n_aps=3)
+        leaky = v.ReceiverFrontEnd(crosstalk=0.05)
+        cfg = SolverConfig(objective=objective, k=8)
+        exact = v.solve_exact(range(4), table, leaky, cfg)
+        oracle = v.solve_exhaustive(range(4), table, leaky, cfg)
+        assert exact.objective_value == oracle.objective_value
+        per_user_db = [v.link_budget(u, exact.entries, table, leaky).sinr_db for u in range(4)]
+        expected = sum(per_user_db if objective == "db" else [10 ** (db / 10) for db in per_user_db])
+        assert v.objective(exact.entries, table, leaky, cfg) == pytest.approx(expected, abs=1e-9)
+        assert v.objective(exact.entries, table, config=cfg) > exact.objective_value
+
     def test_room_a_scale_proves_optimum(self):
         scene = v.discretize(v.standard_room("A"))
         users = v.scenario_preset("A", 2)

@@ -1,8 +1,10 @@
 import os
+from types import SimpleNamespace
 
 import pytest
 
 import vlcwdma as v
+from vlcwdma import cli
 from vlcwdma.cli import main as cli_main
 from vlcwdma.experiment import ConfigError, preset_config, run_experiment, scenario_preset
 
@@ -194,3 +196,29 @@ class TestCli:
         code = cli_main(["run", "--room", "B", "--scenario", "2", "--order", "1",
                          "--solver", "greedy", "--out", out, "--element-size", "0.5"])
         assert code == 0
+
+    def test_flags_override_only_what_they_name(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("room: B\nscenario: 2\nchannel: {order: 1}\n"
+                       "solver: {mode: greedy, k: 8, time_limit_s: 5}\nworkers: 2\n")
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda config: seen.append(config) or SimpleNamespace(exit_code=0))
+        out = str(tmp_path / "d")
+        assert cli_main(["run", "--room", str(cfg), "--out", out]) == 0
+        assert cli_main(["run", "--room", str(cfg), "--out", out, "--order", "0", "--k", "4"]) == 0
+        file_only, flagged = seen
+        assert (file_only.solver_mode, file_only.max_order, file_only.workers) == ("greedy", 1, 2)
+        assert (file_only.solver.k, file_only.solver.time_limit_s) == (8, 5)
+        assert file_only.out_dir == out
+        assert (flagged.max_order, flagged.solver.k) == (0, 4)
+        assert (flagged.solver_mode, flagged.solver.time_limit_s, flagged.workers) == ("greedy", 5, 2)
+
+    @pytest.mark.parametrize("entry", ["[1, 2, 1, 4]", "5", "[a, 1]"])
+    def test_malformed_users_file_is_config_error(self, tmp_path, capsys, entry):
+        users = tmp_path / "users.yaml"
+        users.write_text(f"users:\n  - {entry}\n")
+        code = cli_main(["run", "--room", "B", "--scenario", str(users),
+                         "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "users[0]" in capsys.readouterr().err

@@ -39,7 +39,7 @@ class TestStandardRooms:
 
     def test_presets_validate(self):
         for rid in "ABC":
-            scene = v.validate(v.standard_room(rid))
+            scene = v.discretize(v.standard_room(rid))
             assert scene.room.name == rid
 
     def test_default_power_budget(self):
@@ -121,7 +121,7 @@ class TestValidate:
         bad = v.RoomSpec(4.0, 8.0, 3.0, default_surfaces(),
                          (AccessPointSpec(position=Vec3(5.0, 1.0, 3.0)),), name="bad")
         with pytest.raises(SceneValidationError) as exc:
-            v.validate(bad)
+            v.discretize(bad)
         assert any("outside footprint" in e for e in exc.value.errors)
 
     def test_reflectivity_out_of_range(self):
@@ -132,7 +132,7 @@ class TestValidate:
         bad = v.RoomSpec(4.0, 4.0, 3.0, tuple(surfaces),
                          (AccessPointSpec(position=Vec3(1, 1, 3)),), name="bad")
         with pytest.raises(SceneValidationError) as exc:
-            v.validate(bad)
+            v.discretize(bad)
         assert any("reflectivity out of range" in e for e in exc.value.errors)
 
     def test_all_violations_reported(self):
@@ -142,7 +142,7 @@ class TestValidate:
         bad = v.RoomSpec(-4.0, 4.0, 3.0, tuple(surfaces),
                          (AccessPointSpec(position=Vec3(9.0, 1.0, 3.0)),), name="bad")
         with pytest.raises(SceneValidationError) as exc:
-            v.validate(bad)
+            v.discretize(bad)
         text = "; ".join(exc.value.errors)
         assert "width" in text
         assert "reflectivity" in text
@@ -152,7 +152,7 @@ class TestValidate:
         bad = v.RoomSpec(4.0, 4.0, 3.0, default_surfaces(),
                          (AccessPointSpec(position=Vec3(1, 1, 2.5)),), name="bad")
         with pytest.raises(SceneValidationError):
-            v.validate(bad)
+            v.discretize(bad)
 
     def test_scene_immutable(self, scene_b):
         with pytest.raises(Exception):
