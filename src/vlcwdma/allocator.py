@@ -332,27 +332,23 @@ def solve_exact(
     front_end: ReceiverFrontEnd = DEFAULT_FRONT_END,
     config: SolverConfig = SolverConfig(),
 ) -> Assignment:
-    """Branch-and-bound over the exact objective with an admissible bound."""
+    """Branch-and-bound over each user's top-``config.k`` candidates.
+
+    Depth-first and best-first; the first complete assignment is the first
+    incumbent. ``proven_optimal`` is relative to the candidate lists. A time
+    limit is checked only once an incumbent exists, and the unproven
+    assignment it then returns depends on the clock.
+    """
     users = list(users)
     if not users:
         return Assignment({}, 0.0, config.objective, True)
     cand_lists = {u: candidates(u, table, front_end, config) for u in users}
     evaluate = partial(_score, SinrModel(table, front_end), scale=config.objective)
     order = sorted(users, key=lambda u: (-cand_lists[u][0].iso_sinr_db, u))
-    start = time.monotonic()
-    deadline = None if config.time_limit_s is None else start + config.time_limit_s
-
-    # cheap single-start incumbent; branch-and-bound does the real work
-    warm = _greedy_construct(order, cand_lists, evaluate)
-    if warm is not None:
-        _local_search(warm, order, cand_lists, evaluate)
-        incumbent = [warm[u] for u in order]
-        best_score = evaluate(incumbent)
-        best_key = tuple(warm[u].key for u in sorted(warm))
-    else:
-        incumbent = None
-        best_score = float("-inf")
-        best_key = None
+    deadline = None if config.time_limit_s is None else time.monotonic() + config.time_limit_s
+    incumbent: list[Candidate] | None = None
+    best_score = float("-inf")
+    best_key: tuple | None = None
 
     def iso_value(db: float) -> float:
         return db if config.objective == "db" else 10.0 ** (db / 10.0)
@@ -374,9 +370,7 @@ def solve_exact(
 
     def dfs(depth: int, placed: list[Candidate], used: set[tuple[int, int]]) -> None:
         nonlocal best_score, best_key, incumbent, timed_out
-        if timed_out:
-            return
-        if deadline is not None and time.monotonic() > deadline:
+        if timed_out or (incumbent is not None and deadline is not None and time.monotonic() > deadline):
             timed_out = True
             return
         if depth == len(order):
@@ -391,8 +385,8 @@ def solve_exact(
                 continue
             placed.append(c)
             used.add(c.resource)
-            bound = evaluate(placed) + remaining_bound(depth + 1, used)
-            if bound >= best_score - _BOUND_SLACK:
+            rest = remaining_bound(depth + 1, used)  # -inf: some user has no free candidate
+            if rest > float("-inf") and evaluate(placed) + rest >= best_score - _BOUND_SLACK:
                 dfs(depth + 1, placed, used)
             placed.pop()
             used.discard(c.resource)

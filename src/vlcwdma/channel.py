@@ -149,51 +149,30 @@ def _transfer_matrix(scene: Scene):
     return T, np.where(np.isinf(d), 0.0, d)
 
 
-class _SceneCache:
-    """Reusable geometry factors for repeated link evaluations on one scene."""
-
-    def __init__(self, scene: Scene):
-        self.scene = scene
-        self._illum: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._transfer = None
-
-    def illumination(self, ap_index: int, order: int):
-        key = (ap_index, order)
-        if key not in self._illum:
-            self._illum[key] = _ap_illumination(self.scene, self.scene.room.aps[ap_index], order)
-        return self._illum[key]
-
-    def transfer(self):
-        if self._transfer is None:
-            self._transfer = _transfer_matrix(self.scene)
-        return self._transfer
-
-
 def _accumulate(
     scene: Scene,
-    ap_index: int,
+    ap: AccessPointSpec,
     rx: np.ndarray,
     branch: BranchSpec,
-    max_order: int,
     dt: float,
-    cache: _SceneCache,
+    illum: dict,
+    capture: dict,
+    transfer,
 ):
-    """Bin all path chains up to max_order.
+    """Bin all path chains up to the highest order keyed in ``illum``.
 
+    ``illum[o]`` and ``capture[o]`` are the order-o arrays of _ap_illumination
+    and _receiver_capture; ``transfer`` is _transfer_matrix's, for order 2.
     Returns (bins[wavelength, n_bins], los_gain). Bin k covers time k*dt.
     """
-    ap = scene.room.aps[ap_index]
     g0, t0 = los_contribution(ap, Vec3.from_iterable(rx), branch)
     los_idx = int(round(t0 / dt))
     n_bins = los_idx + 1
 
     chains = []  # (indices, weights[n, 4])
-    for order in (1, 2):
-        if max_order < order:
-            break
+    for order, (E, d_ap) in illum.items():
         es = scene.elements(order)
-        E, d_ap = cache.illumination(ap_index, order)
-        R, d_rx = _receiver_capture(scene, rx, branch, order)
+        R, d_rx = capture[order]
         if order == 1:
             geo = E * R
             sel = np.nonzero(geo > 0.0)[0]
@@ -204,7 +183,7 @@ def _accumulate(
                 chains.append((idx, weights))
                 n_bins = max(n_bins, int(idx.max()) + 1)
         else:
-            T, d12 = cache.transfer()
+            T, d12 = transfer
             ii = np.nonzero(E > 0.0)[0]
             jj = np.nonzero(R > 0.0)[0]
             if ii.size and jj.size:
@@ -248,11 +227,14 @@ def impulse_response(
     """Impulse response of one (AP, receiver branch, wavelength) path set."""
     if max_order not in (0, 1, 2):
         raise ValueError(f"max_order must be 0, 1 or 2, got {max_order}")
-    try:
-        ap_index = scene.room.aps.index(ap)
-    except ValueError:
-        raise ValueError("AP is not part of the scene") from None
-    bins, _ = _accumulate(scene, ap_index, rx_pos.as_array(), branch, max_order, dt, _SceneCache(scene))
+    if ap not in scene.room.aps:
+        raise ValueError("AP is not part of the scene")
+    rx = rx_pos.as_array()
+    orders = range(1, max_order + 1)
+    illum = {o: _ap_illumination(scene, ap, o) for o in orders}
+    capture = {o: _receiver_capture(scene, rx, branch, o) for o in orders}
+    transfer = _transfer_matrix(scene) if max_order == 2 else None
+    bins, _ = _accumulate(scene, ap, rx, branch, dt, illum, capture, transfer)
     return _trim(bins[wavelength.index], dt)
 
 
@@ -504,20 +486,16 @@ def gain_matrix(
     ds = np.zeros(shape)
     blocked = np.zeros(shape, dtype=bool)
 
-    cache = _SceneCache(scene)
-    if max_order >= 1:
-        for a in range(n_a):
-            cache.illumination(a, 1)
-    if max_order >= 2:
-        cache.transfer()
-        for a in range(n_a):
-            cache.illumination(a, 2)
+    orders = range(1, max_order + 1)
+    illum = [{o: _ap_illumination(scene, ap, o) for o in orders} for ap in scene.room.aps]
+    transfer = _transfer_matrix(scene) if max_order == 2 else None
 
     def fill_user(u: int) -> None:
         rx = users[u].as_array()
         for b in range(n_b):
+            capture = {o: _receiver_capture(scene, rx, branches[b], o) for o in orders}
             for a in range(n_a):
-                bins, g0 = _accumulate(scene, a, rx, branches[b], max_order, dt, cache)
+                bins, g0 = _accumulate(scene, scene.room.aps[a], rx, branches[b], dt, illum[a], capture, transfer)
                 for wl in WAVELENGTHS:
                     k = wl.index
                     m = metrics_from_response(_trim(bins[k], dt), f_cap=f_cap,

@@ -63,8 +63,9 @@ def _config_from_args(args) -> ExperimentConfig:
     }
     for section, values in overlay.items():
         passed = {key: val for key, val in values.items() if val is not None}
-        if passed:
-            raw[section] = {**(raw.get(section) or {}), **passed}
+        base = raw.get(section) or {}
+        if passed and isinstance(base, dict):  # parse_config reports a non-mapping section
+            raw[section] = {**base, **passed}
     if args.workers is not None:
         raw["workers"] = args.workers
     raw["out"] = args.out

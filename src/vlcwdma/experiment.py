@@ -99,20 +99,44 @@ class ExperimentConfig:
             raise ConfigError(errors)
 
 
+def _section(data: dict, name: str, errors: list[str], where: str = "") -> dict:
+    """A mapping-valued section, empty when absent; any other value is reported."""
+    value = data.get(name) or {}
+    if not isinstance(value, dict):
+        errors.append(f"{where}{name} must be a mapping, got {value!r}")
+        return {}
+    return value
+
+
+def _number(data: dict, key: str, default, errors: list[str], where: str = "", kind=float):
+    """``kind(data[key])``, or default when absent or null; a non-number is reported."""
+    if data.get(key) is None:
+        return default
+    try:
+        return kind(data[key])
+    except (TypeError, ValueError, OverflowError):
+        errors.append(f"{where}{key} must be a number, got {data[key]!r}")
+        return default
+
+
 def _room_from_mapping(data: dict, errors: list[str]) -> RoomSpec | None:
     dims = data.get("dims")
-    if not (isinstance(dims, (list, tuple)) and len(dims) == 3):
+    try:
+        if not isinstance(dims, (list, tuple)):
+            raise TypeError
+        width, length, height = (float(v) for v in dims)
+    except (TypeError, ValueError):
         errors.append("room.dims must be [width, length, height]")
         return None
-    width, length, height = (float(v) for v in dims)
-    refl = data.get("reflectivity", {}) or {}
+    refl = _section(data, "reflectivity", errors, "room.")
     surfaces = default_surfaces(
-        wall_rho=float(refl.get("wall", 0.8)),
-        ceiling_rho=float(refl.get("ceiling", 0.8)),
-        floor_rho=float(refl.get("floor", 0.3)),
+        wall_rho=_number(refl, "wall", 0.8, errors, "room.reflectivity."),
+        ceiling_rho=_number(refl, "ceiling", 0.8, errors, "room.reflectivity."),
+        floor_rho=_number(refl, "floor", 0.3, errors, "room.reflectivity."),
     )
     aps = []
-    for i, entry in enumerate(data.get("aps", []) or []):
+    aps_raw = data.get("aps") or []
+    for i, entry in enumerate(aps_raw if isinstance(aps_raw, list) else []):
         try:
             if isinstance(entry, dict):
                 pos = Vec3.from_iterable(entry["position"])
@@ -200,30 +224,45 @@ def parse_config(raw: dict) -> ExperimentConfig:
     else:
         errors.append("config must list users or name a scenario preset for a standard room")
 
-    ch = raw.get("channel", {}) or {}
-    fe_raw = raw.get("frontend", {}) or {}
-    sv = raw.get("solver", {}) or {}
+    ch = _section(raw, "channel", errors)
+    fe_raw = _section(raw, "frontend", errors)
+    sv = _section(raw, "solver", errors)
 
+    responsivities = (_section(fe_raw, "responsivities", errors, "frontend.") if "responsivities" in fe_raw
+                      else dict(link.DEFAULT_RESPONSIVITY_A_W))
     front_end = link.ReceiverFrontEnd()
     try:
         front_end = link.ReceiverFrontEnd(
-            responsivity_a_w=fe_raw.get("responsivities", dict(link.DEFAULT_RESPONSIVITY_A_W)),
-            noise_density_a_rthz=float(fe_raw.get("n0", link.DEFAULT_NOISE_DENSITY_A_RTHZ)),
-            bandwidth_hz=float(fe_raw.get("b_rx", link.DEFAULT_RX_BANDWIDTH_HZ)),
-            crosstalk=float(fe_raw.get("crosstalk", 0.0)),
+            responsivity_a_w=responsivities,
+            noise_density_a_rthz=_number(fe_raw, "n0", link.DEFAULT_NOISE_DENSITY_A_RTHZ, errors, "frontend."),
+            bandwidth_hz=_number(fe_raw, "b_rx", link.DEFAULT_RX_BANDWIDTH_HZ, errors, "frontend."),
+            crosstalk=_number(fe_raw, "crosstalk", 0.0, errors, "frontend."),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         errors.append(f"frontend: {exc}")
 
     solver_cfg = allocator.SolverConfig()
     try:
         solver_cfg = allocator.SolverConfig(
             objective=str(sv.get("objective", "db")),
-            k=int(sv.get("k", 16)),
-            time_limit_s=sv.get("time_limit_s"),
+            k=_number(sv, "k", 16, errors, "solver.", int),
+            time_limit_s=_number(sv, "time_limit_s", None, errors, "solver."),
         )
     except ValueError as exc:
         errors.append(f"solver: {exc}")
+
+    dt_ns = _number(ch, "dt_ns", None, errors, "channel.")
+    numbers = dict(
+        max_order=_number(ch, "order", 2, errors, "channel.", int),
+        # an absent key keeps the exact default: ns -> s does not round-trip
+        dt_s=channel.DEFAULT_DT_S if dt_ns is None else dt_ns * 1e-9,
+        dx1_m=_number(ch, "dx1_m", DEFAULT_FIRST_ORDER_DX_M, errors, "channel."),
+        dx2_m=_number(ch, "dx2_m", DEFAULT_SECOND_ORDER_DX_M, errors, "channel."),
+        f_cap_hz=_number(ch, "f_cap_ghz", channel.DEFAULT_F_CAP_HZ / 1e9, errors, "channel.") * 1e9,
+        dispersion_factor=_number(ch, "dispersion_factor", channel.DEFAULT_DISPERSION_FACTOR,
+                                  errors, "channel."),
+        workers=_number(raw, "workers", 1, errors, kind=int),
+    )
 
     if room is None:
         raise ConfigError(errors if errors else ["invalid configuration"])
@@ -233,18 +272,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         users=users,
         solver_mode=str(sv.get("mode", "exact")),
         solver=solver_cfg,
-        max_order=int(ch.get("order", 2)),
-        # an absent key keeps the exact default: ns -> s does not round-trip
-        dt_s=float(ch["dt_ns"]) * 1e-9 if "dt_ns" in ch else channel.DEFAULT_DT_S,
-        dx1_m=float(ch.get("dx1_m", DEFAULT_FIRST_ORDER_DX_M)),
-        dx2_m=float(ch.get("dx2_m", DEFAULT_SECOND_ORDER_DX_M)),
-        f_cap_hz=float(ch.get("f_cap_ghz", channel.DEFAULT_F_CAP_HZ / 1e9)) * 1e9,
-        dispersion_factor=float(ch.get("dispersion_factor", channel.DEFAULT_DISPERSION_FACTOR)),
         front_end=front_end,
         out_dir=str(raw.get("out", "run_out")),
-        workers=int(raw.get("workers", 1)),
         room_label=room_label,
         scenario_label=scenario_label,
+        **numbers,
     )
     try:
         config.validate()

@@ -69,10 +69,3 @@ def branch_normal(azimuth_deg: float, elevation_deg: float) -> Vec3:
     az = math.radians(azimuth_deg)
     el = math.radians(elevation_deg)
     return Vec3(math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el))
-
-
-def rotate_z(v: Vec3, angle_deg: float) -> Vec3:
-    """Rotate a vector about the +z axis by angle_deg (right-handed)."""
-    a = math.radians(angle_deg)
-    c, s = math.cos(a), math.sin(a)
-    return Vec3(c * v.x - s * v.y, s * v.x + c * v.y, v.z)

@@ -11,6 +11,7 @@ from vlcwdma.channel import (
     ImpulseResponse,
     bandwidth_3db_flagged,
     effective_bandwidth_flagged,
+    metrics_from_response,
 )
 from vlcwdma.geometry import Vec3
 from vlcwdma.scene import AccessPointSpec, BranchSpec, Wavelength, default_branches
@@ -334,6 +335,17 @@ class TestGainMatrix:
                                      Wavelength.RED, max_order=0)
             g.append(v.dc_gain(ir1) - v.dc_gain(ir0))
         assert abs(g[1] - g[0]) / g[0] < 0.05
+
+    def test_cells_agree_with_impulse_response(self, scene_b):
+        # the two entry points build their geometry factors separately
+        rx = Vec3(1.3, 2.2, 1.0)
+        table = v.gain_matrix(scene_b, [rx], max_order=2)
+        for b, branch in enumerate(default_branches()):
+            for a, ap in enumerate(scene_b.room.aps):
+                for wl in Wavelength:
+                    ir = v.impulse_response(scene_b, ap, rx, branch, wl, max_order=2)
+                    assert v.dc_gain(ir) == table.dc[0, b, a, wl.index]
+                    assert metrics_from_response(ir).bandwidth_hz == table.bandwidth_hz[0, b, a, wl.index]
 
     def test_metrics_invariants(self, scene_b):
         table = v.gain_matrix(scene_b, [Vec3(0.5, 1.5, 1.0)], max_order=2)

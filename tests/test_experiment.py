@@ -84,6 +84,33 @@ class TestLoadConfig:
         assert cfg.users[0].z == 1.0  # receiver plane default
         assert cfg.room.surface("wall_x0").rho(v.Wavelength.RED) == 0.7
 
+    @pytest.mark.parametrize("text,problem", [
+        ("solver: 5", "solver must be a mapping"),
+        ("channel: [1]", "channel must be a mapping"),
+        ("frontend: x", "frontend must be a mapping"),
+        ("frontend: {responsivities: 5}", "frontend.responsivities must be a mapping"),
+        ("frontend: {responsivities: {R: [1], Y: 1, G: 1, B: 1}}", "frontend:"),
+        ("channel: {order: x}", "channel.order must be a number"),
+        ("channel: {dx1_m: wide}", "channel.dx1_m must be a number"),
+        ("workers: many", "workers must be a number"),
+        ("solver: {k: x}", "solver.k must be a number"),
+        ("solver: {k: .inf}", "solver.k must be a number"),
+        ("solver: {time_limit_s: soon}", "solver.time_limit_s must be a number"),
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, text, problem):
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"room: B\nscenario: 2\n{text}\n")
+        with pytest.raises(ConfigError) as exc:
+            v.load_config(str(path))
+        assert problem in "; ".join(exc.value.errors)
+
+    def test_malformed_inline_room_is_config_error(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text("room: {dims: [4, x, 3], aps: 5, reflectivity: 0.8}\nusers: [[1, 1]]\n")
+        with pytest.raises(ConfigError) as exc:
+            v.load_config(str(path))
+        assert "room.dims" in "; ".join(exc.value.errors)
+
     def test_parse_error(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text("room: [unclosed\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vlcwdma.geometry import Vec3, branch_normal, rotate_z
+from vlcwdma.geometry import Vec3, branch_normal
 from vlcwdma.scene import default_branches
 
 
@@ -39,6 +39,13 @@ def test_branch_normal_unit_length(az, el):
 def test_branch_normal_rejects_out_of_range(az, el):
     with pytest.raises(ValueError):
         branch_normal(az, el)
+
+
+def rotate_z(v: Vec3, angle_deg: float) -> Vec3:
+    """Rotate a vector about the +z axis by angle_deg (right-handed)."""
+    a = math.radians(angle_deg)
+    c, s = math.cos(a), math.sin(a)
+    return Vec3(c * v.x - s * v.y, s * v.x + c * v.y, v.z)
 
 
 def test_default_branches_related_by_quarter_turns():
