@@ -19,12 +19,12 @@ from .channel import (
     ChannelMetrics,
     GainTable,
     ImpulseResponse,
-    bandwidth_3db,
+    bandwidth_3db_flagged,
     dc_gain,
-    effective_bandwidth,
     gain_matrix,
     impulse_response,
     los_contribution,
+    metrics_from_response,
     rms_delay_spread,
     write_impulse_response_csv,
 )

@@ -267,11 +267,6 @@ def bandwidth_3db_flagged(ir: ImpulseResponse, f_cap: float = DEFAULT_F_CAP_HZ) 
     return float(f), False
 
 
-def bandwidth_3db(ir: ImpulseResponse, f_cap: float = DEFAULT_F_CAP_HZ) -> float:
-    """Lowest frequency where |H(f)|^2 / |H(0)|^2 = 0.5, or f_cap when absent."""
-    return bandwidth_3db_flagged(ir, f_cap)[0]
-
-
 def rms_delay_spread(ir: ImpulseResponse) -> float:
     """Power-squared-weighted RMS spread of the arrival times."""
     if dc_gain(ir) <= 0.0:
@@ -283,44 +278,28 @@ def rms_delay_spread(ir: ImpulseResponse) -> float:
     return float(np.sqrt(((t - mu) ** 2 * w).sum() / sw))
 
 
-def effective_bandwidth_flagged(
-    ir: ImpulseResponse,
-    f_cap: float = DEFAULT_F_CAP_HZ,
-    dispersion_factor: float = DEFAULT_DISPERSION_FACTOR,
-) -> tuple[float, bool]:
-    """Reported channel bandwidth: min(spectral -3 dB point, dispersion limit).
-
-    A single-impulse response has zero delay spread and a flat spectrum, so
-    it reports f_cap with the capped flag set.
-    """
-    spectral, capped = bandwidth_3db_flagged(ir, f_cap)
-    spread = rms_delay_spread(ir)
-    if spread > 0.0:
-        dispersion = dispersion_factor / spread
-        if dispersion < spectral:
-            return min(dispersion, f_cap), dispersion >= f_cap
-    return spectral, capped
-
-
-def effective_bandwidth(
-    ir: ImpulseResponse,
-    f_cap: float = DEFAULT_F_CAP_HZ,
-    dispersion_factor: float = DEFAULT_DISPERSION_FACTOR,
-) -> float:
-    return effective_bandwidth_flagged(ir, f_cap, dispersion_factor)[0]
-
-
 def metrics_from_response(
     ir: ImpulseResponse,
     f_cap: float = DEFAULT_F_CAP_HZ,
     los_blocked: bool = False,
     dispersion_factor: float = DEFAULT_DISPERSION_FACTOR,
 ) -> ChannelMetrics:
+    """DC gain, delay spread and the reported bandwidth of one response.
+
+    The reported bandwidth is min(spectral -3 dB point, dispersion limit
+    dispersion_factor / rms spread). A single-impulse response has zero
+    spread and a flat spectrum, so it reports f_cap with the capped flag set.
+    """
     g = dc_gain(ir)
     if g <= 0.0:
         return ChannelMetrics(0.0, f_cap, True, 0.0, los_blocked)
-    bw, capped = effective_bandwidth_flagged(ir, f_cap, dispersion_factor)
-    return ChannelMetrics(g, bw, capped, rms_delay_spread(ir), los_blocked)
+    bw, capped = bandwidth_3db_flagged(ir, f_cap)
+    spread = rms_delay_spread(ir)
+    if spread > 0.0:
+        dispersion = dispersion_factor / spread
+        if dispersion < bw:
+            bw, capped = min(dispersion, f_cap), dispersion >= f_cap
+    return ChannelMetrics(g, bw, capped, spread, los_blocked)
 
 
 class GainTable:

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .channel import GainTable
-from .scene import WAVELENGTHS, Wavelength
+from .scene import WAVELENGTHS, Wavelength, wavelength_map
 
 ELECTRON_CHARGE_C = 1.602e-19
 
@@ -53,14 +53,7 @@ class ReceiverFrontEnd:
     crosstalk: float = 0.0  # other-wavelength leakage into the interference sum
 
     def __post_init__(self) -> None:
-        resolved: dict[Wavelength, float] = {}
-        for key, val in self.responsivity_a_w.items():
-            wl = key if isinstance(key, Wavelength) else Wavelength(str(key))
-            resolved[wl] = float(val)
-        missing = [wl.value for wl in WAVELENGTHS if wl not in resolved]
-        if missing:
-            raise ValueError(f"responsivity missing wavelengths: {missing}")
-        object.__setattr__(self, "responsivity_a_w", resolved)
+        object.__setattr__(self, "responsivity_a_w", wavelength_map(self.responsivity_a_w, "responsivity"))
         if self.noise_density_a_rthz <= 0.0:
             raise ValueError("noise current spectral density must be > 0")
         if self.bandwidth_hz <= 0.0:
@@ -166,10 +159,7 @@ def classify_light(user: int, assignment: Mapping[int, object], table: GainTable
         raise KeyError(f"user {user} missing from assignment")
     own = assignment[user]
     signal = (own.ap, own.wavelength)
-    modulated = {}
-    for v, entry in assignment.items():
-        if v != user:
-            modulated[(entry.ap, entry.wavelength)] = v
+    modulated = {(entry.ap, entry.wavelength) for v, entry in assignment.items() if v != user}
     interference = []
     background = []
     for a in range(table.n_aps):

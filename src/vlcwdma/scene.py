@@ -61,7 +61,7 @@ class Wavelength(Enum):
 WAVELENGTHS: tuple[Wavelength, ...] = tuple(Wavelength)
 
 
-def _wavelength_map(values: Mapping, what: str) -> dict[Wavelength, float]:
+def wavelength_map(values: Mapping, what: str) -> dict[Wavelength, float]:
     """Normalize a {Wavelength|letter: value} mapping to full Wavelength keys."""
     out: dict[Wavelength, float] = {}
     for key, val in values.items():
@@ -84,7 +84,7 @@ class SurfaceSpec:
     reflectivity: Mapping[Wavelength, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "reflectivity", _wavelength_map(self.reflectivity, f"surface {self.surface_id} reflectivity"))
+        object.__setattr__(self, "reflectivity", wavelength_map(self.reflectivity, f"surface {self.surface_id} reflectivity"))
 
     def rho(self, wl: Wavelength) -> float:
         return self.reflectivity[wl]
@@ -128,7 +128,7 @@ class AccessPointSpec:
     ld_count: int = DEFAULT_LDS_PER_AP
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ld_power_w", _wavelength_map(self.ld_power_w, "AP ld_power_w"))
+        object.__setattr__(self, "ld_power_w", wavelength_map(self.ld_power_w, "AP ld_power_w"))
 
     def power_w(self, wl: Wavelength) -> float:
         """Aggregate transmit power of the unit on one wavelength."""
@@ -288,9 +288,6 @@ class ElementSet:
 
     def __len__(self) -> int:
         return self.centers.shape[0]
-
-    def rho(self, wl: Wavelength) -> np.ndarray:
-        return self.reflectivity[:, wl.index]
 
     def area_of_surface(self, surface_pos: int) -> float:
         return float(self.areas[self.surface_index == surface_pos].sum())

@@ -10,7 +10,6 @@ from vlcwdma.channel import (
     SPEED_OF_LIGHT_M_S,
     ImpulseResponse,
     bandwidth_3db_flagged,
-    effective_bandwidth_flagged,
     metrics_from_response,
 )
 from vlcwdma.geometry import Vec3
@@ -204,12 +203,12 @@ class TestBandwidth:
 
     def test_custom_cap(self):
         ir = ImpulseResponse(dt=DEFAULT_DT_S, t0=0.0, bins=np.array([1e-6]))
-        assert v.bandwidth_3db(ir, f_cap=5e9) == 5e9
+        assert bandwidth_3db_flagged(ir, f_cap=5e9)[0] == 5e9
 
     def test_zero_gain_error(self):
         ir = ImpulseResponse(dt=DEFAULT_DT_S, t0=0.0, bins=np.zeros(3))
         with pytest.raises(ValueError):
-            v.bandwidth_3db(ir)
+            bandwidth_3db_flagged(ir)[0]
 
     def test_grid_resolution(self):
         # transform grid must resolve 10 MHz even for short responses
@@ -221,7 +220,8 @@ class TestBandwidth:
 class TestEffectiveBandwidth:
     def test_single_impulse_reports_cap(self):
         ir = ImpulseResponse(dt=DEFAULT_DT_S, t0=0.0, bins=np.array([1e-6]))
-        bw, capped = effective_bandwidth_flagged(ir)
+        m = metrics_from_response(ir)
+        bw, capped = m.bandwidth_hz, m.bandwidth_capped
         assert bw == DEFAULT_F_CAP_HZ and capped
 
     def test_two_path_spectral_limit_wins(self):
@@ -230,8 +230,8 @@ class TestEffectiveBandwidth:
         bins[0] = bins[2] = 1.0
         ir = ImpulseResponse(dt=DEFAULT_DT_S, t0=0.0, bins=bins)
         tau = 2 * DEFAULT_DT_S
-        assert v.effective_bandwidth(ir) == pytest.approx(v.bandwidth_3db(ir), rel=1e-12)
-        assert v.effective_bandwidth(ir) == pytest.approx(1 / (4 * tau), rel=1e-2)
+        assert metrics_from_response(ir).bandwidth_hz == pytest.approx(bandwidth_3db_flagged(ir)[0], rel=1e-12)
+        assert metrics_from_response(ir).bandwidth_hz == pytest.approx(1 / (4 * tau), rel=1e-2)
 
     def test_los_dominated_dispersion_limit_wins(self):
         # strong first bin plus a faint long tail: flat spectrum, finite spread
@@ -239,9 +239,10 @@ class TestEffectiveBandwidth:
         bins[0] = 1e-6
         bins[1:] = 5e-10  # ~20% of LOS: flat spectrum, long dispersion
         ir = ImpulseResponse(dt=DEFAULT_DT_S, t0=0.0, bins=bins)
-        assert v.bandwidth_3db(ir) == DEFAULT_F_CAP_HZ  # no -3 dB crossing
+        assert bandwidth_3db_flagged(ir)[0] == DEFAULT_F_CAP_HZ  # no -3 dB crossing
         expected = 0.3 / v.rms_delay_spread(ir)
-        bw, capped = effective_bandwidth_flagged(ir)
+        m = metrics_from_response(ir)
+        bw, capped = m.bandwidth_hz, m.bandwidth_capped
         assert not capped
         assert bw == pytest.approx(expected, rel=1e-12)
 
@@ -250,8 +251,8 @@ class TestEffectiveBandwidth:
         bins[0] = 1e-6
         bins[1:] = 5e-10  # ~20% of LOS: flat spectrum, long dispersion
         ir = ImpulseResponse(dt=DEFAULT_DT_S, t0=0.0, bins=bins)
-        b1 = v.effective_bandwidth(ir, dispersion_factor=0.2)
-        b2 = v.effective_bandwidth(ir, dispersion_factor=0.4)
+        b1 = metrics_from_response(ir, dispersion_factor=0.2).bandwidth_hz
+        b2 = metrics_from_response(ir, dispersion_factor=0.4).bandwidth_hz
         assert b2 == pytest.approx(2 * b1, rel=1e-12)
 
     def test_room_links_dispersion_limited(self, scene_b):

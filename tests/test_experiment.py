@@ -6,7 +6,7 @@ import pytest
 import vlcwdma as v
 from vlcwdma import cli
 from vlcwdma.cli import main as cli_main
-from vlcwdma.experiment import ConfigError, preset_config, run_experiment, scenario_preset
+from vlcwdma.experiment import ConfigError, parse_config, preset_config, run_experiment, scenario_preset
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "report_room_b_s1.csv")
 
@@ -104,6 +104,22 @@ class TestLoadConfig:
             v.load_config(str(path))
         assert problem in "; ".join(exc.value.errors)
 
+    @pytest.mark.parametrize("text,problem", [
+        ("channel: {dt_ns: 0}", "dt_s must be > 0"),
+        ("channel: {dt_ns: .nan}", "dt_s must be > 0"),
+        ("channel: {f_cap_ghz: 0}", "f_cap_hz must be > 0"),
+        ("channel: {dispersion_factor: 0}", "dispersion_factor must be > 0"),
+        ("channel: {dx1_m: -1}", "dx1_m must be in (0, 3.0]"),
+        ("channel: {dx2_m: 3.5}", "dx2_m must be in (0, 3.0]"),
+        ("solver: {mode: exhaustive}", "unknown solver mode 'exhaustive'"),
+    ])
+    def test_out_of_range_value_is_config_error(self, tmp_path, text, problem):
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"room: B\nscenario: 1\n{text}\n")
+        with pytest.raises(ConfigError) as exc:
+            v.load_config(str(path))
+        assert problem in "; ".join(exc.value.errors)
+
     def test_malformed_inline_room_is_config_error(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text("room: {dims: [4, x, 3], aps: 5, reflectivity: 0.8}\nusers: [[1, 1]]\n")
@@ -116,6 +132,23 @@ class TestLoadConfig:
         path.write_text("room: [unclosed\n")
         with pytest.raises(ConfigError):
             v.load_config(str(path))
+
+
+class TestPresetConfig:
+    @pytest.mark.parametrize("room", "ABC")
+    @pytest.mark.parametrize("scenario", (1, 2))
+    def test_same_as_parse_config(self, room, scenario):
+        assert preset_config(room, scenario) == parse_config({"room": room, "scenario": scenario})
+
+    def test_overrides_land(self, tmp_path):
+        cfg = preset_config("A", 2, max_order=1, out_dir=str(tmp_path))
+        assert (cfg.max_order, cfg.out_dir, cfg.scenario_label) == (1, str(tmp_path), "2")
+
+    def test_unknown_room_or_bad_override_is_config_error(self):
+        with pytest.raises(ConfigError, match="unknown standard room"):
+            preset_config("Z", 1)
+        with pytest.raises(ConfigError, match="dt_s must be > 0"):
+            preset_config("B", 1, dt_s=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +273,21 @@ class TestCli:
         assert file_only.out_dir == out
         assert (flagged.max_order, flagged.solver.k) == (0, 4)
         assert (flagged.solver_mode, flagged.solver.time_limit_s, flagged.workers) == ("greedy", 5, 2)
+
+    def test_exhaustive_solver_flag_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--room", "B", "--scenario", "1", "--solver", "exhaustive",
+                      "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'exhaustive'" in capsys.readouterr().err
+
+    def test_out_of_range_channel_exits_2_before_tracing(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("room: B\nscenario: 1\nchannel: {dt_ns: 0, dx1_m: -1}\nsolver: {k: 0}\n")
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("config was accepted"))
+        assert cli_main(["run", "--room", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "dt_s must be > 0" in err and "dx1_m must be in" in err and "candidate cap" in err
 
     @pytest.mark.parametrize("entry", ["[1, 2, 1, 4]", "5", "[a, 1]"])
     def test_malformed_users_file_is_config_error(self, tmp_path, capsys, entry):
