@@ -89,13 +89,15 @@ class SolverConfig:
             raise ValueError(f"objective must be 'db' or 'linear', got {self.objective!r}")
         if self.k < 1:
             raise ValueError(f"candidate cap must be >= 1, got {self.k}")
+        if self.time_limit_s is not None and not self.time_limit_s >= 0.0:  # NaN fails too
+            raise ValueError(f"time limit must be >= 0 seconds, got {self.time_limit_s}")
 
 
 def _score(model: SinrModel, cands: Sequence[Candidate], scale: str) -> float:
     """Sum of the users' SINRs in dB or linear; -inf if any user has no signal."""
     total = 0.0
-    for i, cand in enumerate(cands):
-        lin = model.sinr_linear(cand.user, cand, [c for j, c in enumerate(cands) if j != i])
+    for cand in cands:
+        lin = model.sinr_linear(cand.user, cand, cands)
         if lin <= 0.0:
             return float("-inf")
         total += 10.0 * math.log10(lin) if scale == "db" else lin
@@ -230,26 +232,18 @@ def _greedy_construct(order, cand_lists, evaluate) -> dict[int, Candidate] | Non
 
 
 def _local_search(picks, order, cand_lists, evaluate) -> float:
-    """Single-move, pairwise-swap and ejection-chain improvement, in place."""
+    """Pairwise joint reassignment (2-opt), in place, to a local optimum.
+
+    A pair move also covers a single reassignment (the other user keeps its
+    pick) and an ejection chain (``u`` and the holder of the resource it
+    takes), since both users' resources are free to the pair.
+    """
     score_now = evaluate(list(picks.values()))
     improved = True
     rounds = 0
     while improved and rounds < 50:
         improved = False
         rounds += 1
-        # single reassignments onto free resources
-        for u in order:
-            others = [picks[x] for x in order if x != u]
-            taken = {c.resource for c in others}
-            for c in cand_lists[u]:
-                if c.resource in taken or c == picks[u]:
-                    continue
-                s = evaluate(others + [c])
-                if s > score_now + 1e-12:
-                    picks[u] = c
-                    score_now = s
-                    improved = True
-        # pairwise joint reassignment
         for ua, ub in itertools.combinations(order, 2):
             rest = [picks[x] for x in order if x not in (ua, ub)]
             taken = {c.resource for c in rest}
@@ -267,27 +261,6 @@ def _local_search(picks, order, cand_lists, evaluate) -> float:
                 picks[ua], picks[ub] = best_pair
                 score_now = best_s
                 improved = True
-        # ejection chains: u takes a held resource, the displaced user relocates
-        for u in order:
-            holder_of = {picks[x].resource: x for x in order if x != u}
-            others = {x: picks[x] for x in order if x != u}
-            for c in cand_lists[u]:
-                victim = holder_of.get(c.resource)
-                if victim is None or c == picks[u]:
-                    continue
-                rest = [others[x] for x in order if x != u and x != victim]
-                taken = {r.resource for r in rest} | {c.resource}
-                for cv in cand_lists[victim]:
-                    if cv.resource in taken:
-                        continue
-                    s = evaluate(rest + [c, cv])
-                    if s > score_now + 1e-12:
-                        picks[u], picks[victim] = c, cv
-                        score_now = s
-                        improved = True
-                        holder_of = {picks[x].resource: x for x in order if x != u}
-                        others = {x: picks[x] for x in order if x != u}
-                        break
     return score_now
 
 

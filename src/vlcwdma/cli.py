@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--objective", choices=("db", "linear"), help="default db")
     run.add_argument("--element-size", type=float, default=None,
                      help="first-order element edge in metres (second order uses twice this)")
-    run.add_argument("--workers", type=int, help="channel tracing processes (default 1)")
+    run.add_argument("--workers", type=int, help="channel tracing threads (default 1)")
     return parser
 
 

@@ -95,8 +95,8 @@ class ExperimentConfig:
             if not self.room.contains(p):
                 errors.append(f"user {i + 1} outside room: ({p.x}, {p.y}, {p.z})")
         for name in ("dt_s", "f_cap_hz", "dispersion_factor"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                errors.append(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < float("inf"):  # NaN fails too
+                errors.append(f"{name} must be > 0 and finite, got {getattr(self, name)}")
         min_dim = min(self.room.width, self.room.length, self.room.height)
         for name in ("dx1_m", "dx2_m"):  # the bound discretize enforces
             if not 0.0 < getattr(self, name) <= min_dim:

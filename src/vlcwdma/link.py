@@ -54,10 +54,10 @@ class ReceiverFrontEnd:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "responsivity_a_w", wavelength_map(self.responsivity_a_w, "responsivity"))
-        if self.noise_density_a_rthz <= 0.0:
-            raise ValueError("noise current spectral density must be > 0")
-        if self.bandwidth_hz <= 0.0:
-            raise ValueError("receiver bandwidth must be > 0")
+        if not 0.0 < self.noise_density_a_rthz < math.inf:  # NaN fails too
+            raise ValueError("noise current spectral density must be > 0 and finite")
+        if not 0.0 < self.bandwidth_hz < math.inf:
+            raise ValueError("receiver bandwidth must be > 0 and finite")
         if not 0.0 <= self.crosstalk < 1.0:
             raise ValueError("crosstalk factor must be in [0, 1)")
 
@@ -118,7 +118,8 @@ class SinrModel:
     front end: the single SINR implementation behind search and reports.
 
     Entries passed to ``sinr_linear`` are anything with ``ap``, ``branch``
-    and ``wavelength`` attributes.
+    and ``wavelength`` attributes. ``entries`` is the whole assignment and
+    may include ``own``, which is skipped by identity.
     """
 
     def __init__(self, table: GainTable, front_end: ReceiverFrontEnd = DEFAULT_FRONT_END):
@@ -130,14 +131,16 @@ class SinrModel:
         self.sigma2 = noise_variance(self.currents.sum(axis=(2, 3)), front_end.bandwidth_hz, front_end)
         self.crosstalk = front_end.crosstalk
 
-    def sinr_linear(self, user: int, own, others: Iterable) -> float:
+    def sinr_linear(self, user: int, own, entries: Iterable) -> float:
         """i_sig^2 / (noise + co-channel^2 + leaked other-wavelength^2); 0 without signal."""
         b = own.branch
         i_sig = self.currents[user, b, own.ap, own.wavelength.index]
         if i_sig <= 0.0:
             return 0.0
         denom = self.sigma2[user, b]
-        for other in others:
+        for other in entries:
+            if other is own:
+                continue
             if other.wavelength == own.wavelength:
                 denom += self.currents[user, b, other.ap, other.wavelength.index] ** 2
             elif self.crosstalk > 0.0:
@@ -183,7 +186,7 @@ def link_budget(
     own = assignment[user]
     _, interference, background = classify_light(user, assignment, table)
     seen = model.currents[user, own.branch].tolist()  # [ap][wavelength index]
-    lin = model.sinr_linear(user, own, [e for v, e in assignment.items() if v != user])
+    lin = model.sinr_linear(user, own, assignment.values())
     return LinkBudget(
         signal_a=seen[own.ap][own.wavelength.index],
         interference_a=tuple(seen[a][wl.index] for a, wl in interference),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,27 @@ class TestGreedy:
             if abs(greedy.objective_value - exact.objective_value) < 1e-9:
                 matches += 1
         assert matches >= 0.9 * n_instances
+
+    @pytest.mark.parametrize("objective", ["db", "linear"])
+    def test_no_improving_pair_move(self, objective):
+        # the local-optimality contract: no joint reassignment of any two
+        # users (which includes moving one alone) raises the objective
+        cfg = SolverConfig(k=8, objective=objective)
+        for seed in range(25):
+            rng = np.random.default_rng(seed + 2000)
+            n_users = int(rng.integers(2, 6))
+            table = random_gain_table(rng, n_users=n_users)
+            result = v.solve_greedy(range(n_users), table, config=cfg)
+            picks = result.entries
+            cands = [v.candidates(u, table, config=cfg) for u in range(n_users)]
+            for ua, ub in itertools.combinations(range(n_users), 2):
+                taken = {picks[x].resource for x in picks if x not in (ua, ub)}
+                for ca in cands[ua]:
+                    for cb in cands[ub]:
+                        if {ca.resource, cb.resource} & taken or ca.resource == cb.resource:
+                            continue
+                        moved = v.objective({**picks, ua: ca, ub: cb}, table, config=cfg)
+                        assert moved <= result.objective_value + 1e-9, (seed, ua, ub)
 
     def test_deterministic(self):
         rng1 = np.random.default_rng(77)

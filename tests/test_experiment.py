@@ -112,6 +112,14 @@ class TestLoadConfig:
         ("channel: {dx1_m: -1}", "dx1_m must be in (0, 3.0]"),
         ("channel: {dx2_m: 3.5}", "dx2_m must be in (0, 3.0]"),
         ("solver: {mode: exhaustive}", "unknown solver mode 'exhaustive'"),
+        ("channel: {f_cap_ghz: .inf}", "f_cap_hz must be > 0 and finite"),
+        ("channel: {dt_ns: .inf}", "dt_s must be > 0 and finite"),
+        ("channel: {dispersion_factor: .inf}", "dispersion_factor must be > 0 and finite"),
+        ("frontend: {b_rx: .inf}", "receiver bandwidth must be > 0 and finite"),
+        ("frontend: {b_rx: .nan}", "receiver bandwidth must be > 0 and finite"),
+        ("frontend: {n0: .inf}", "noise current spectral density must be > 0 and finite"),
+        ("solver: {time_limit_s: -1}", "time limit must be >= 0"),
+        ("solver: {time_limit_s: .nan}", "time limit must be >= 0"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, text, problem):
         path = tmp_path / "exp.yaml"

@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import io
 import os
 import re
+
+from vlcwdma import cli
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -14,3 +17,11 @@ def test_library_use_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue().count("LinkReport(") == 8
+
+
+def test_cli_synopsis_names_every_run_flag():
+    section = open(README).read().split("## Command line", 1)[1]
+    synopsis = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for action in sub.choices["run"]._actions for opt in action.option_strings if opt.startswith("--")}
+    assert set(re.findall(r"--[a-z][a-z-]*", synopsis)) == flags - {"--help"}
