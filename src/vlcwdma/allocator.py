@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .channel import GainTable
 from .link import DEFAULT_FRONT_END, ReceiverFrontEnd, SinrModel
-from .scene import WAVELENGTHS, Wavelength
+from .scene import WAVELENGTHS, ConfigError, Wavelength
 
 EXHAUSTIVE_SPACE_LIMIT = 1e7
 _BOUND_SLACK = 1e-6  # absorbs float summation-order noise in the bound
@@ -85,12 +85,15 @@ class SolverConfig:
     time_limit_s: float | None = None
 
     def __post_init__(self) -> None:
+        errors = []
         if self.objective not in ("db", "linear"):
-            raise ValueError(f"objective must be 'db' or 'linear', got {self.objective!r}")
+            errors.append(f"objective must be 'db' or 'linear', got {self.objective!r}")
         if self.k < 1:
-            raise ValueError(f"candidate cap must be >= 1, got {self.k}")
+            errors.append(f"candidate cap must be >= 1, got {self.k}")
         if self.time_limit_s is not None and not self.time_limit_s >= 0.0:  # NaN fails too
-            raise ValueError(f"time limit must be >= 0 seconds, got {self.time_limit_s}")
+            errors.append(f"time limit must be >= 0 seconds, got {self.time_limit_s}")
+        if errors:
+            raise ConfigError(errors)
 
 
 def _score(model: SinrModel, cands: Sequence[Candidate], scale: str) -> float:

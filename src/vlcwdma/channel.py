@@ -111,11 +111,12 @@ def _ap_illumination(scene: Scene, ap: AccessPointSpec, order: int):
     es = scene.elements(order)
     v = es.centers - ap.position.as_array()
     d = np.linalg.norm(v, axis=1)
-    u = v / d[:, None]
-    cos_phi = u @ ap.orientation.as_array()
-    cos_in = -np.einsum("ij,ij->i", u, es.normals)
     m = ap.lambertian_m
-    with np.errstate(invalid="ignore"):
+    # an element centred on the AP (d = 0) lies in its ceiling plane: NaN cos_phi gates it to 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = v / d[:, None]
+        cos_phi = u @ ap.orientation.as_array()
+        cos_in = -np.einsum("ij,ij->i", u, es.normals)
         E = np.where(
             (cos_phi > 0.0) & (cos_in > 0.0),
             (m + 1.0) / (2.0 * np.pi * d * d) * cos_phi**m * cos_in * es.areas,

@@ -13,7 +13,6 @@ import os
 import sys
 
 from .experiment import _SOLVERS, ConfigError, ExperimentConfig, parse_config, read_config, read_yaml, run_experiment
-from .scene import SceneValidationError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,8 +75,8 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         result = run_experiment(config)
         return result.exit_code
-    except (ConfigError, SceneValidationError) as exc:
-        for msg in getattr(exc, "errors", [str(exc)]):
+    except ConfigError as exc:  # SceneValidationError included
+        for msg in exc.errors:
             print(f"error: {msg}", file=sys.stderr)
         return 2
     except ValueError as exc:  # infeasible users and unsupported links included

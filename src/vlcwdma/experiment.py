@@ -20,6 +20,7 @@ from .scene import (
     DEFAULT_FIRST_ORDER_DX_M,
     DEFAULT_SECOND_ORDER_DX_M,
     AccessPointSpec,
+    ConfigError,
     RoomSpec,
     Scene,
     default_branches,
@@ -57,14 +58,6 @@ def scenario_preset(room_id: str, scenario: int) -> list[Vec3]:
     return [Vec3(*xyz) for xyz in _SCENARIOS[key]]
 
 
-class ConfigError(ValueError):
-    """Raised with the complete list of configuration problems."""
-
-    def __init__(self, errors: Sequence[str]):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
-
-
 @dataclass
 class ExperimentConfig:
     room: RoomSpec
@@ -94,6 +87,8 @@ class ExperimentConfig:
         for i, p in enumerate(self.users):
             if not self.room.contains(p):
                 errors.append(f"user {i + 1} outside room: ({p.x}, {p.y}, {p.z})")
+        if not self.workers >= 1:
+            errors.append(f"workers must be >= 1, got {self.workers}")
         for name in ("dt_s", "f_cap_hz", "dispersion_factor"):
             if not 0 < getattr(self, name) < float("inf"):  # NaN fails too
                 errors.append(f"{name} must be > 0 and finite, got {getattr(self, name)}")
@@ -106,6 +101,26 @@ class ExperimentConfig:
             raise ConfigError(errors)
 
 
+# The scalar keys of each config section: YAML key -> (dataclass field,
+# kind, scale into the field's SI unit). Defaults and ranges stay on the
+# dataclasses; mapping-valued keys and AP positions are read apart.
+_KEYS: dict[str, dict[str, tuple[str, type, float]]] = {
+    "": {"workers": ("workers", int, 1), "out": ("out_dir", str, 1)},
+    "channel": {"order": ("max_order", int, 1), "dt_ns": ("dt_s", float, 1e-9),
+                "dx1_m": ("dx1_m", float, 1), "dx2_m": ("dx2_m", float, 1),
+                "f_cap_ghz": ("f_cap_hz", float, 1e9),
+                "dispersion_factor": ("dispersion_factor", float, 1)},
+    "frontend": {"n0": ("noise_density_a_rthz", float, 1), "b_rx": ("bandwidth_hz", float, 1),
+                 "crosstalk": ("crosstalk", float, 1)},
+    "solver": {"mode": ("solver_mode", str, 1), "objective": ("objective", str, 1),
+               "k": ("k", int, 1), "time_limit_s": ("time_limit_s", float, 1)},
+    "room": {"name": ("name", str, 1)},
+    "room.reflectivity": {"wall": ("wall_rho", float, 1), "ceiling": ("ceiling_rho", float, 1),
+                          "floor": ("floor_rho", float, 1)},  # default_surfaces' arguments
+    "room.aps[]": {"ld_count": ("ld_count", int, 1), "lambertian_m": ("lambertian_m", float, 1)},
+}
+
+
 def _section(data: dict, name: str, errors: list[str], where: str = "") -> dict:
     """A mapping-valued section, empty when absent; any other value is reported."""
     value = data.get(name) or {}
@@ -115,15 +130,37 @@ def _section(data: dict, name: str, errors: list[str], where: str = "") -> dict:
     return value
 
 
-def _number(data: dict, key: str, default, errors: list[str], where: str = "", kind=float):
-    """``kind(data[key])``, or default when absent or null; a non-number is reported."""
-    if data.get(key) is None:
-        return default
+def _convert(value, kind: type, label: str):
+    """``value`` as a str, float or int; a ValueError says what it must be."""
     try:
-        return kind(data[key])
+        out = kind(value if kind is str else float(value))  # int() raises on inf and NaN
     except (TypeError, ValueError, OverflowError):
-        errors.append(f"{where}{key} must be a number, got {data[key]!r}")
-        return default
+        raise ValueError(f"{label} must be a number, got {value!r}") from None
+    if kind is int and (isinstance(value, bool) or out != float(value)):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    return out
+
+
+def _read(data: dict, section: str, errors: list[str], where: str | None = None) -> dict:
+    """Keyword arguments from the present, non-null keys of one section."""
+    where = (section and f"{section}.") if where is None else where
+    kwargs = {}
+    for key, (name, kind, scale) in _KEYS[section].items():
+        if data.get(key) is not None:
+            try:
+                kwargs[name] = _convert(data[key], kind, where + key) * scale
+            except ValueError as exc:
+                errors.append(str(exc))
+    return kwargs
+
+
+def _build(cls, kwargs: dict, errors: list[str], where: str):
+    """``cls(**kwargs)``; on failure every problem is reported and ``cls()`` stands in."""
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        errors.extend(f"{where}: {e}" for e in getattr(exc, "errors", [exc]))
+        return cls()
 
 
 def _room_from_mapping(data: dict, errors: list[str]) -> RoomSpec | None:
@@ -136,33 +173,22 @@ def _room_from_mapping(data: dict, errors: list[str]) -> RoomSpec | None:
         errors.append("room.dims must be [width, length, height]")
         return None
     refl = _section(data, "reflectivity", errors, "room.")
-    surfaces = default_surfaces(
-        wall_rho=_number(refl, "wall", 0.8, errors, "room.reflectivity."),
-        ceiling_rho=_number(refl, "ceiling", 0.8, errors, "room.reflectivity."),
-        floor_rho=_number(refl, "floor", 0.3, errors, "room.reflectivity."),
-    )
+    surfaces = default_surfaces(**_read(refl, "room.reflectivity", errors))
     aps = []
     aps_raw = data.get("aps") or []
     for i, entry in enumerate(aps_raw if isinstance(aps_raw, list) else []):
+        entry = entry if isinstance(entry, dict) else {"position": entry}
+        kwargs = _read(entry, "room.aps[]", errors, f"room.aps[{i}].")
+        if entry.get("ld_power_w") is not None:
+            kwargs["ld_power_w"] = _section(entry, "ld_power_w", errors, f"room.aps[{i}].")
         try:
-            if isinstance(entry, dict):
-                pos = Vec3.from_iterable(entry["position"])
-                kwargs = {}
-                if "ld_count" in entry:
-                    kwargs["ld_count"] = int(entry["ld_count"])
-                if "ld_power_w" in entry:
-                    kwargs["ld_power_w"] = entry["ld_power_w"]
-                if "lambertian_m" in entry:
-                    kwargs["lambertian_m"] = float(entry["lambertian_m"])
-                aps.append(AccessPointSpec(position=pos, **kwargs))
-            else:
-                aps.append(AccessPointSpec(position=Vec3.from_iterable(entry)))
+            aps.append(AccessPointSpec(position=Vec3.from_iterable(entry["position"]), **kwargs))
         except (TypeError, ValueError, KeyError) as exc:
             errors.append(f"room.aps[{i}] invalid: {exc}")
     if not aps:
         errors.append("room.aps must list at least one access point")
         return None
-    return RoomSpec(width, length, height, surfaces, tuple(aps), name=str(data.get("name", "custom")))
+    return RoomSpec(width, length, height, surfaces, tuple(aps), **_read(data, "room", errors))
 
 
 def read_yaml(path: str):
@@ -224,67 +250,30 @@ def parse_config(raw: dict) -> ExperimentConfig:
             users.append(Vec3(*vals))
     elif "scenario" in raw and room is not None and room.name in ("A", "B", "C"):
         try:
-            users = scenario_preset(room.name, int(raw["scenario"]))
-            scenario_label = str(int(raw["scenario"]))
-        except (TypeError, ValueError) as exc:
+            scenario = _convert(raw["scenario"], int, "scenario")
+            users = scenario_preset(room.name, scenario)
+            scenario_label = str(scenario)
+        except ValueError as exc:
             errors.append(str(exc))
     else:
         errors.append("config must list users or name a scenario preset for a standard room")
 
-    ch = _section(raw, "channel", errors)
+    kwargs = {**_read(raw, "", errors), **_read(_section(raw, "channel", errors), "channel", errors)}
     fe_raw = _section(raw, "frontend", errors)
-    sv = _section(raw, "solver", errors)
-
-    responsivities = (_section(fe_raw, "responsivities", errors, "frontend.") if "responsivities" in fe_raw
-                      else dict(link.DEFAULT_RESPONSIVITY_A_W))
-    front_end = link.ReceiverFrontEnd()
-    try:
-        front_end = link.ReceiverFrontEnd(
-            responsivity_a_w=responsivities,
-            noise_density_a_rthz=_number(fe_raw, "n0", link.DEFAULT_NOISE_DENSITY_A_RTHZ, errors, "frontend."),
-            bandwidth_hz=_number(fe_raw, "b_rx", link.DEFAULT_RX_BANDWIDTH_HZ, errors, "frontend."),
-            crosstalk=_number(fe_raw, "crosstalk", 0.0, errors, "frontend."),
-        )
-    except (TypeError, ValueError) as exc:
-        errors.append(f"frontend: {exc}")
-
-    solver_cfg = allocator.SolverConfig()
-    try:
-        solver_cfg = allocator.SolverConfig(
-            objective=str(sv.get("objective", "db")),
-            k=_number(sv, "k", 16, errors, "solver.", int),
-            time_limit_s=_number(sv, "time_limit_s", None, errors, "solver."),
-        )
-    except ValueError as exc:
-        errors.append(f"solver: {exc}")
-
-    dt_ns = _number(ch, "dt_ns", None, errors, "channel.")
-    numbers = dict(
-        max_order=_number(ch, "order", 2, errors, "channel.", int),
-        # an absent key keeps the exact default: ns -> s does not round-trip
-        dt_s=channel.DEFAULT_DT_S if dt_ns is None else dt_ns * 1e-9,
-        dx1_m=_number(ch, "dx1_m", DEFAULT_FIRST_ORDER_DX_M, errors, "channel."),
-        dx2_m=_number(ch, "dx2_m", DEFAULT_SECOND_ORDER_DX_M, errors, "channel."),
-        f_cap_hz=_number(ch, "f_cap_ghz", channel.DEFAULT_F_CAP_HZ / 1e9, errors, "channel.") * 1e9,
-        dispersion_factor=_number(ch, "dispersion_factor", channel.DEFAULT_DISPERSION_FACTOR,
-                                  errors, "channel."),
-        workers=_number(raw, "workers", 1, errors, kind=int),
-    )
+    fe_kwargs = _read(fe_raw, "frontend", errors)
+    if fe_raw.get("responsivities") is not None:
+        fe_kwargs["responsivity_a_w"] = _section(fe_raw, "responsivities", errors, "frontend.")
+    solver_kwargs = _read(_section(raw, "solver", errors), "solver", errors)
+    if "solver_mode" in solver_kwargs:  # ExperimentConfig's field, not SolverConfig's
+        kwargs["solver_mode"] = solver_kwargs.pop("solver_mode")
+    front_end = _build(link.ReceiverFrontEnd, fe_kwargs, errors, "frontend")
+    solver = _build(allocator.SolverConfig, solver_kwargs, errors, "solver")
 
     if room is None:
-        raise ConfigError(errors if errors else ["invalid configuration"])
+        raise ConfigError(errors)
 
-    config = ExperimentConfig(
-        room=room,
-        users=users,
-        solver_mode=str(sv.get("mode", "exact")),
-        solver=solver_cfg,
-        front_end=front_end,
-        out_dir=str(raw.get("out", "run_out")),
-        room_label=room_label,
-        scenario_label=scenario_label,
-        **numbers,
-    )
+    config = ExperimentConfig(room=room, users=users, solver=solver, front_end=front_end,
+                              room_label=room_label, scenario_label=scenario_label, **kwargs)
     try:
         config.validate()
     except ConfigError as exc:
@@ -330,10 +319,8 @@ def run_experiment(config: ExperimentConfig, echo=print) -> RunResult:
     solver = _SOLVERS[config.solver_mode]
     assignment = solver(range(table.n_users), table, config.front_end, config.solver)
     assignment.validate()
-    reports = [
-        link.link_report(u, assignment.entries, table, config.front_end)
-        for u in sorted(assignment.entries)
-    ]
+    model = link.SinrModel(table, config.front_end)
+    reports = [model.link_report(u, assignment.entries) for u in sorted(assignment.entries)]
 
     out = config.out_dir
     files = {

@@ -20,13 +20,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .channel import GainTable
-from .scene import WAVELENGTHS, Wavelength, wavelength_map
+from .scene import WAVELENGTHS, ConfigError, Wavelength, wavelength_map
 
 ELECTRON_CHARGE_C = 1.602e-19
-
-DEFAULT_RESPONSIVITY_A_W = {"R": 0.4, "Y": 0.35, "G": 0.3, "B": 0.2}
-DEFAULT_NOISE_DENSITY_A_RTHZ = 4.47e-12
-DEFAULT_RX_BANDWIDTH_HZ = 5e9
 
 # OOK operating point: SINR of Q^2 = 36 (~15.6 dB) gives BER 1e-9. Links
 # below it run forward error correction, modeled as a pure code-rate
@@ -45,21 +41,23 @@ class UnsupportedLinkError(ValueError):
 class ReceiverFrontEnd:
     """Photodetector responsivities and preamplifier noise model."""
 
-    responsivity_a_w: Mapping[Wavelength, float] = field(
-        default_factory=lambda: dict(DEFAULT_RESPONSIVITY_A_W)
-    )
-    noise_density_a_rthz: float = DEFAULT_NOISE_DENSITY_A_RTHZ
-    bandwidth_hz: float = DEFAULT_RX_BANDWIDTH_HZ
+    responsivity_a_w: Mapping[Wavelength, float] = field(default_factory=lambda: {"R": 0.4, "Y": 0.35, "G": 0.3, "B": 0.2})
+    noise_density_a_rthz: float = 4.47e-12
+    bandwidth_hz: float = 5e9
     crosstalk: float = 0.0  # other-wavelength leakage into the interference sum
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "responsivity_a_w", wavelength_map(self.responsivity_a_w, "responsivity"))
-        if not 0.0 < self.noise_density_a_rthz < math.inf:  # NaN fails too
-            raise ValueError("noise current spectral density must be > 0 and finite")
+        errors = [f"responsivity for {wl.value} must be > 0 and finite, got {r}"
+                  for wl, r in self.responsivity_a_w.items() if not 0.0 < r < math.inf]  # NaN fails too
+        if not 0.0 < self.noise_density_a_rthz < math.inf:
+            errors.append("noise current spectral density must be > 0 and finite")
         if not 0.0 < self.bandwidth_hz < math.inf:
-            raise ValueError("receiver bandwidth must be > 0 and finite")
+            errors.append("receiver bandwidth must be > 0 and finite")
         if not 0.0 <= self.crosstalk < 1.0:
-            raise ValueError("crosstalk factor must be in [0, 1)")
+            errors.append("crosstalk factor must be in [0, 1)")
+        if errors:
+            raise ConfigError(errors)
 
     def responsivity(self, wl: Wavelength) -> float:
         return self.responsivity_a_w[wl]
@@ -123,6 +121,7 @@ class SinrModel:
     """
 
     def __init__(self, table: GainTable, front_end: ReceiverFrontEnd = DEFAULT_FRONT_END):
+        self.table = table
         resp = np.array([front_end.responsivity(wl) for wl in WAVELENGTHS])
         # currents[u, b, a, k]: photocurrent of pair (a, k) seen on branch b
         self.currents = table.dc * table.tx_power_w[None, None, :, :] * resp[None, None, None, :]
@@ -148,6 +147,34 @@ class SinrModel:
                 leak = self.crosstalk * self.currents[user, b, other.ap, other.wavelength.index]
                 denom += leak * leak
         return float(i_sig * i_sig / denom)
+
+    def link_budget(self, user: int, assignment: Mapping[int, object]) -> LinkBudget:
+        """Full current/noise/SINR breakdown for one user under an assignment."""
+        own = assignment[user]
+        _, interference, background = classify_light(user, assignment, self.table)
+        seen = self.currents[user, own.branch].tolist()  # [ap][wavelength index]
+        lin = self.sinr_linear(user, own, assignment.values())
+        return LinkBudget(
+            signal_a=seen[own.ap][own.wavelength.index],
+            interference_a=tuple(seen[a][wl.index] for a, wl in interference),
+            background_a=tuple(seen[a][wl.index] for a, wl in background),
+            noise_var_a2=float(self.sigma2[user, own.branch]),
+            sinr_db=10.0 * math.log10(lin) if lin > 0.0 else float("-inf"),
+        )
+
+    def link_report(self, user: int, assignment: Mapping[int, object]) -> LinkReport:
+        """Evaluate one user's assigned link end to end."""
+        own = assignment[user]
+        budget = self.link_budget(user, assignment)
+        if budget.signal_a <= 0.0:
+            raise ValueError(f"user {user} has zero signal gain on its assignment")
+        metrics = self.table.metrics(user, own.branch, own.ap, own.wavelength)
+        rate, fec = data_rate(metrics.bandwidth_hz, budget.sinr_db)
+        return LinkReport(
+            user=user, ap=own.ap, branch=own.branch, wavelength=own.wavelength,
+            sinr_db=budget.sinr_db, bandwidth_hz=metrics.bandwidth_hz,
+            rate_bps=rate, fec_engaged=fec,
+        )
 
 
 def classify_light(user: int, assignment: Mapping[int, object], table: GainTable):
@@ -182,18 +209,7 @@ def link_budget(
     front_end: ReceiverFrontEnd = DEFAULT_FRONT_END,
 ) -> LinkBudget:
     """Full current/noise/SINR breakdown for one user under an assignment."""
-    model = SinrModel(table, front_end)
-    own = assignment[user]
-    _, interference, background = classify_light(user, assignment, table)
-    seen = model.currents[user, own.branch].tolist()  # [ap][wavelength index]
-    lin = model.sinr_linear(user, own, assignment.values())
-    return LinkBudget(
-        signal_a=seen[own.ap][own.wavelength.index],
-        interference_a=tuple(seen[a][wl.index] for a, wl in interference),
-        background_a=tuple(seen[a][wl.index] for a, wl in background),
-        noise_var_a2=float(model.sigma2[user, own.branch]),
-        sinr_db=10.0 * math.log10(lin) if lin > 0.0 else float("-inf"),
-    )
+    return SinrModel(table, front_end).link_budget(user, assignment)
 
 
 def sinr(
@@ -228,17 +244,7 @@ def link_report(
     front_end: ReceiverFrontEnd = DEFAULT_FRONT_END,
 ) -> LinkReport:
     """Evaluate one user's assigned link end to end."""
-    own = assignment[user]
-    budget = link_budget(user, assignment, table, front_end)
-    if budget.signal_a <= 0.0:
-        raise ValueError(f"user {user} has zero signal gain on its assignment")
-    metrics = table.metrics(user, own.branch, own.ap, own.wavelength)
-    rate, fec = data_rate(metrics.bandwidth_hz, budget.sinr_db)
-    return LinkReport(
-        user=user, ap=own.ap, branch=own.branch, wavelength=own.wavelength,
-        sinr_db=budget.sinr_db, bandwidth_hz=metrics.bandwidth_hz,
-        rate_bps=rate, fec_engaged=fec,
-    )
+    return SinrModel(table, front_end).link_report(user, assignment)
 
 
 def reports_csv_lines(

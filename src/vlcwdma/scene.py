@@ -19,7 +19,6 @@ from .geometry import Vec3, branch_normal
 
 # Default transmitter model. The per-LD split sums to the 1.9 W total of a
 # single RYGB laser diode; an access point carries a 3x3 unit of them.
-TOTAL_LD_POWER_W = 1.9
 DEFAULT_LD_POWER_W = {"R": 0.8, "Y": 0.5, "G": 0.3, "B": 0.3}
 DEFAULT_LDS_PER_AP = 9
 DEFAULT_LAMBERTIAN_M = 1.0
@@ -71,6 +70,14 @@ def wavelength_map(values: Mapping, what: str) -> dict[Wavelength, float]:
     if missing:
         raise ValueError(f"{what} missing wavelengths: {missing}")
     return out
+
+
+class ConfigError(ValueError):
+    """Raised with the complete list of configuration problems."""
+
+    def __init__(self, errors: Sequence[str]):
+        self.errors = list(errors)
+        super().__init__("; ".join(self.errors))
 
 
 SURFACE_IDS = ("floor", "ceiling", "wall_x0", "wall_x1", "wall_y0", "wall_y1")
@@ -136,13 +143,13 @@ class AccessPointSpec:
 
     def violations(self, room: "RoomSpec | None" = None) -> list[str]:
         errs = []
-        if self.lambertian_m < 1.0:
-            errs.append(f"AP at {self.position}: Lambertian mode m must be >= 1, got {self.lambertian_m}")
+        if not 1.0 <= self.lambertian_m < np.inf:  # NaN fails too
+            errs.append(f"AP at {self.position}: Lambertian mode m must be >= 1 and finite, got {self.lambertian_m}")
         if self.ld_count < 1:
             errs.append(f"AP at {self.position}: ld_count must be >= 1, got {self.ld_count}")
         for wl, p in self.ld_power_w.items():
-            if p <= 0.0:
-                errs.append(f"AP at {self.position}: power for {wl.value} must be > 0, got {p}")
+            if not 0.0 < p < np.inf:
+                errs.append(f"AP at {self.position}: power for {wl.value} must be > 0 and finite, got {p}")
         if not self.orientation.is_unit(tol=1e-6):
             errs.append(f"AP at {self.position}: orientation must be a unit vector")
         if room is not None:
@@ -208,8 +215,8 @@ class RoomSpec:
     def violations(self) -> list[str]:
         errs = []
         for dim, label in ((self.width, "width"), (self.length, "length"), (self.height, "height")):
-            if not dim > 0.0:
-                errs.append(f"room {label} must be positive, got {dim}")
+            if not 0.0 < dim < np.inf:
+                errs.append(f"room {label} must be positive and finite, got {dim}")
         ids = sorted(s.surface_id for s in self.surfaces)
         if ids != sorted(SURFACE_IDS):
             errs.append(f"room must define exactly the 6 surfaces {SURFACE_IDS}, got {ids}")
@@ -229,12 +236,8 @@ class RoomSpec:
         )
 
 
-class SceneValidationError(ValueError):
+class SceneValidationError(ConfigError):
     """Raised with the complete list of room invariant violations."""
-
-    def __init__(self, errors: Sequence[str]):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
 
 
 _STANDARD_ROOMS = {

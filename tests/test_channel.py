@@ -337,6 +337,16 @@ class TestGainMatrix:
             g.append(v.dc_gain(ir1) - v.dc_gain(ir0))
         assert abs(g[1] - g[0]) / g[0] < 0.05
 
+    def test_element_centred_on_an_ap_traces_without_warnings(self):
+        # Room A at 0.2/0.4 m puts order-2 element centres on APs; RuntimeWarnings are errors here
+        room = v.standard_room("A")
+        scene = v.discretize(room, 0.2, 0.4)
+        aps = np.array([ap.position.as_array() for ap in room.aps])
+        centres = scene.elements(2).centers
+        assert np.any(np.all(np.isclose(centres[:, None, :], aps[None, :, :]), axis=2))
+        table = v.gain_matrix(scene, v.scenario_preset("A", 1)[:1], max_order=2)
+        assert np.all(np.isfinite(table.dc)) and np.all(table.dc >= 0.0)
+
     def test_cells_agree_with_impulse_response(self, scene_b):
         # the two entry points build their geometry factors separately
         rx = Vec3(1.3, 2.2, 1.0)

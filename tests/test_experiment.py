@@ -96,6 +96,10 @@ class TestLoadConfig:
         ("solver: {k: x}", "solver.k must be a number"),
         ("solver: {k: .inf}", "solver.k must be a number"),
         ("solver: {time_limit_s: soon}", "solver.time_limit_s must be a number"),
+        ("solver: {k: 2.5}", "solver.k must be an integer"),
+        ("channel: {order: 1.7}", "channel.order must be an integer"),
+        ("channel: {order: true}", "channel.order must be an integer"),
+        ("workers: 1.5", "workers must be an integer"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, text, problem):
         path = tmp_path / "exp.yaml"
@@ -120,6 +124,10 @@ class TestLoadConfig:
         ("frontend: {n0: .inf}", "noise current spectral density must be > 0 and finite"),
         ("solver: {time_limit_s: -1}", "time limit must be >= 0"),
         ("solver: {time_limit_s: .nan}", "time limit must be >= 0"),
+        ("frontend: {responsivities: {R: -1, Y: 0.35, G: 0.3, B: 0.2}}", "responsivity for R must be > 0 and finite"),
+        ("frontend: {responsivities: {R: 0.4, Y: .inf, G: 0.3, B: 0.2}}", "responsivity for Y must be > 0 and finite"),
+        ("workers: 0", "workers must be >= 1"),
+        ("workers: -3", "workers must be >= 1"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, text, problem):
         path = tmp_path / "exp.yaml"
@@ -134,6 +142,39 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as exc:
             v.load_config(str(path))
         assert "room.dims" in "; ".join(exc.value.errors)
+
+    @pytest.mark.parametrize("room,problem", [
+        ("{dims: [.inf, 4, 3], aps: [[1, 1, 3]]}", "room width must be positive and finite"),
+        ("{dims: [4, 4, 3], aps: [{position: [1, 1, 3], ld_power_w: {R: .inf, Y: 0.5, G: 0.3, B: 0.3}}]}",
+         "power for R must be > 0 and finite"),
+        ("{dims: [4, 4, 3], aps: [{position: [1, 1, 3], ld_power_w: 5}]}", "room.aps[0].ld_power_w must be a mapping"),
+        ("{dims: [4, 4, 3], aps: [{position: [1, 1, 3], lambertian_m: .inf}]}", "Lambertian mode m must be >= 1 and finite"),
+        ("{dims: [4, 4, 3], aps: [{position: [1, 1, 3], lambertian_m: .nan}]}", "Lambertian mode m must be >= 1 and finite"),
+        ("{dims: [4, 4, 3], aps: [[1, 1, 3], {position: [3, 3, 3], ld_count: 2.5}]}",
+         "room.aps[1].ld_count must be an integer"),
+    ])
+    def test_bad_inline_room_value_is_config_error(self, tmp_path, room, problem):
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"room: {room}\nusers: [[1, 1]]\n")
+        with pytest.raises(ConfigError) as exc:
+            v.load_config(str(path))
+        assert problem in "; ".join(exc.value.errors)
+
+    @pytest.mark.parametrize("text", [
+        "frontend: {n0: -1, b_rx: -1, crosstalk: 2}",
+        "solver: {k: 0, time_limit_s: -1, objective: x}",
+    ])
+    def test_every_range_problem_of_a_section_is_reported(self, tmp_path, text):
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"room: B\nscenario: 1\n{text}\n")
+        with pytest.raises(ConfigError) as exc:
+            v.load_config(str(path))
+        assert len(exc.value.errors) == 3
+
+    @pytest.mark.parametrize("scenario", [1.5, True])
+    def test_non_integral_scenario_is_config_error(self, scenario):
+        with pytest.raises(ConfigError, match="scenario must be an integer"):
+            parse_config({"room": "B", "scenario": scenario})
 
     def test_parse_error(self, tmp_path):
         path = tmp_path / "exp.yaml"
