@@ -7,6 +7,7 @@ figure-data files for bandwidth, SINR and rate).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -102,22 +103,22 @@ class ExperimentConfig:
 
 
 # The scalar keys of each config section: YAML key -> (dataclass field,
-# kind, scale into the field's SI unit). Defaults and ranges stay on the
-# dataclasses; mapping-valued keys and AP positions are read apart.
-_KEYS: dict[str, dict[str, tuple[str, type, float]]] = {
-    "": {"workers": ("workers", int, 1), "out": ("out_dir", str, 1)},
-    "channel": {"order": ("max_order", int, 1), "dt_ns": ("dt_s", float, 1e-9),
-                "dx1_m": ("dx1_m", float, 1), "dx2_m": ("dx2_m", float, 1),
-                "f_cap_ghz": ("f_cap_hz", float, 1e9),
-                "dispersion_factor": ("dispersion_factor", float, 1)},
-    "frontend": {"n0": ("noise_density_a_rthz", float, 1), "b_rx": ("bandwidth_hz", float, 1),
-                 "crosstalk": ("crosstalk", float, 1)},
-    "solver": {"mode": ("solver_mode", str, 1), "objective": ("objective", str, 1),
-               "k": ("k", int, 1), "time_limit_s": ("time_limit_s", float, 1)},
-    "room": {"name": ("name", str, 1)},
-    "room.reflectivity": {"wall": ("wall_rho", float, 1), "ceiling": ("ceiling_rho", float, 1),
-                          "floor": ("floor_rho", float, 1)},  # default_surfaces' arguments
-    "room.aps[]": {"ld_count": ("ld_count", int, 1), "lambertian_m": ("lambertian_m", float, 1)},
+# kind, decimal exponent into the field's SI unit). Defaults and ranges stay
+# on the dataclasses; mapping-valued keys and AP positions are read apart.
+_KEYS: dict[str, dict[str, tuple[str, type, int]]] = {
+    "": {"workers": ("workers", int, 0), "out": ("out_dir", str, 0)},
+    "channel": {"order": ("max_order", int, 0), "dt_ns": ("dt_s", float, -9),
+                "dx1_m": ("dx1_m", float, 0), "dx2_m": ("dx2_m", float, 0),
+                "f_cap_ghz": ("f_cap_hz", float, 9),
+                "dispersion_factor": ("dispersion_factor", float, 0)},
+    "frontend": {"n0": ("noise_density_a_rthz", float, 0), "b_rx": ("bandwidth_hz", float, 0),
+                 "crosstalk": ("crosstalk", float, 0)},
+    "solver": {"mode": ("solver_mode", str, 0), "objective": ("objective", str, 0),
+               "k": ("k", int, 0), "time_limit_s": ("time_limit_s", float, 0)},
+    "room": {"name": ("name", str, 0)},
+    "room.reflectivity": {"wall": ("wall_rho", float, 0), "ceiling": ("ceiling_rho", float, 0),
+                          "floor": ("floor_rho", float, 0)},  # default_surfaces' arguments
+    "room.aps[]": {"ld_count": ("ld_count", int, 0), "lambertian_m": ("lambertian_m", float, 0)},
 }
 
 
@@ -145,12 +146,14 @@ def _read(data: dict, section: str, errors: list[str], where: str | None = None)
     """Keyword arguments from the present, non-null keys of one section."""
     where = (section and f"{section}.") if where is None else where
     kwargs = {}
-    for key, (name, kind, scale) in _KEYS[section].items():
+    for key, (name, kind, exp) in _KEYS[section].items():
         if data.get(key) is not None:
             try:
-                kwargs[name] = _convert(data[key], kind, where + key) * scale
+                value = _convert(data[key], kind, where + key)
             except ValueError as exc:
                 errors.append(str(exc))
+            else:  # the literal 0.05e-9, where 0.05 * 1e-9 is 5.000000000000001e-11
+                kwargs[name] = float(f"{value!r}e{exp}") if exp and math.isfinite(value) else value
     return kwargs
 
 
@@ -248,7 +251,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 errors.append(f"users[{i}] must be [x, y] or [x, y, z]")
                 continue
             users.append(Vec3(*vals))
-    elif "scenario" in raw and room is not None and room.name in ("A", "B", "C"):
+    elif "scenario" in raw and room_label:  # a room given by preset id, not an inline room's name
         try:
             scenario = _convert(raw["scenario"], int, "scenario")
             users = scenario_preset(room.name, scenario)

@@ -10,6 +10,8 @@ from vlcwdma.allocator import (
     InfeasibleUserError,
     SearchSpaceLimitError,
     SolverConfig,
+    _assignment_dual,
+    _resource_weights,
     assignment_csv_lines,
 )
 from vlcwdma.geometry import Vec3
@@ -232,6 +234,56 @@ class TestExact:
             for u, cand in result.entries.items():
                 final = v.sinr(u, result.entries, table)
                 assert final <= cand.iso_sinr_db + 1e-9
+
+
+class TestAssignmentBound:
+    """The assignment relaxation behind exact's bound (Kuhn, 1955)."""
+
+    @staticmethod
+    def brute_force(weights, n_cols):
+        values = [sum(row[j] for row, j in zip(weights, cols))
+                  for cols in itertools.permutations(range(n_cols), len(weights))
+                  if all(j in row for row, j in zip(weights, cols))]
+        return max(values, default=None)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_brute_force_with_feasible_duals(self, seed):
+        rng = np.random.default_rng(seed + 300)
+        n_rows, n_cols = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        weights = [{j: float(rng.normal(10.0, 8.0)) for j in range(n_cols) if rng.random() > 0.35}
+                   for _ in range(n_rows)]
+        expected = self.brute_force(weights, n_cols)
+        dual = _assignment_dual(weights)
+        if expected is None:
+            assert dual is None
+            return
+        value, p, q = dual
+        assert value == pytest.approx(expected, abs=1e-9)
+        assert all(x >= 0.0 for x in q.values())
+        for i, row in enumerate(weights):
+            for j, w in row.items():
+                assert p[i] + q.get(j, 0.0) >= w - 1e-9
+
+    @pytest.mark.parametrize("weights", [
+        [{0: 1.0, 1: 2.0}, {0: 3.0, 1: 1.0}, {0: 5.0, 1: 4.0}],  # three rows share two columns
+        [{0: 1.0}, {0: 2.0, 1: 1.0}, {2: 1.0}, {0: 1.0, 1: 3.0}],  # rows 0, 1 and 3 share two
+        [{}],  # a row with no column
+    ])
+    def test_infeasible_when_hall_condition_fails(self, weights):
+        assert _assignment_dual(weights) is None
+
+    @pytest.mark.parametrize("objective", ["db", "linear"])
+    def test_root_bound_between_optimum_and_sum_of_best_isolated(self, objective):
+        cfg = SolverConfig(objective=objective, k=8)
+        for seed in range(8):
+            rng = np.random.default_rng(seed + 400)
+            n_users = int(rng.integers(2, 6))
+            table = random_gain_table(rng, n_users=n_users, n_aps=int(rng.integers(2, 5)))
+            weights, _ = _resource_weights([v.candidates(u, table, config=cfg) for u in range(n_users)], objective)
+            root = _assignment_dual(weights)[0]
+            optimum = v.solve_exact(range(n_users), table, config=cfg).objective_value
+            assert optimum <= root + 1e-9 * max(1.0, abs(root))
+            assert root <= sum(max(row.values()) for row in weights) + 1e-9 * max(1.0, abs(root))
 
 
 class TestGreedy:

@@ -136,12 +136,18 @@ class TestLoadConfig:
             v.load_config(str(path))
         assert problem in "; ".join(exc.value.errors)
 
-    def test_malformed_inline_room_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize("text,problem", [
+        ("room: {dims: [4, x, 3], aps: 5, reflectivity: 0.8}\nusers: [[1, 1]]", "room.dims"),
+        # an inline room named like a standard one does not take that room's preset users
+        ("room: {name: B, dims: [4, 4, 3], aps: [[2, 2, 3]]}\nscenario: 1",
+         "config must list users or name a scenario preset for a standard room"),
+    ])
+    def test_malformed_inline_room_is_config_error(self, tmp_path, text, problem):
         path = tmp_path / "exp.yaml"
-        path.write_text("room: {dims: [4, x, 3], aps: 5, reflectivity: 0.8}\nusers: [[1, 1]]\n")
+        path.write_text(text + "\n")
         with pytest.raises(ConfigError) as exc:
             v.load_config(str(path))
-        assert "room.dims" in "; ".join(exc.value.errors)
+        assert problem in "; ".join(exc.value.errors)
 
     @pytest.mark.parametrize("room,problem", [
         ("{dims: [.inf, 4, 3], aps: [[1, 1, 3]]}", "room width must be positive and finite"),
@@ -159,6 +165,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as exc:
             v.load_config(str(path))
         assert problem in "; ".join(exc.value.errors)
+
+    @pytest.mark.parametrize("text,field,value", [
+        ("channel: {dt_ns: 0.01}", "dt_s", 1e-11),
+        ("channel: {dt_ns: 0.02}", "dt_s", 2e-11),
+        ("channel: {dt_ns: 0.05}", "dt_s", 5e-11),
+        ("channel: {dt_ns: 0.1}", "dt_s", 1e-10),
+        ("channel: {f_cap_ghz: 10}", "f_cap_hz", 10e9),
+    ])
+    def test_unit_scaled_value_equals_its_si_literal(self, tmp_path, text, field, value):
+        # 0.05 * 1e-9 is 5.000000000000001e-11, not the default dt_s of 5e-11
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"room: B\nscenario: 1\n{text}\n")
+        assert getattr(v.load_config(str(path)), field) == value
 
     @pytest.mark.parametrize("text", [
         "frontend: {n0: -1, b_rx: -1, crosstalk: 2}",
