@@ -47,6 +47,10 @@ FREQ_RESOLUTION_HZ = 10e6        # max spacing of the transform grid
 # usable rate there. The factor is a calibrated model constant.
 DEFAULT_DISPERSION_FACTOR = 0.3
 
+# Rows of the element-to-element transfer matrix computed per step: the
+# block temporaries take about 10 x 8 x _BLOCK_ROWS x N bytes.
+_BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class ImpulseResponse:
@@ -139,15 +143,46 @@ def _receiver_capture(scene: Scene, rx: np.ndarray, branch: BranchSpec, order: i
 
 
 def _transfer_matrix(scene: Scene):
-    """Element-to-element Lambertian transfer on the second-order grid."""
+    """Element-to-element Lambertian transfer on the second-order grid.
+
+    T and the distances D are filled _BLOCK_ROWS rows at a time, so the
+    temporaries scale with the block, not with N x N. Each entry uses the
+    same arithmetic as a dense evaluation and is bit-identical to it.
+    """
     es = scene.elements(2)
-    diff = es.centers[None, :, :] - es.centers[:, None, :]
-    d = np.linalg.norm(diff, axis=2)
-    np.fill_diagonal(d, np.inf)  # no self-transfer
-    cos_out = np.einsum("ijk,ik->ij", diff, es.normals) / d
-    cos_in = -np.einsum("ijk,jk->ij", diff, es.normals) / d
-    T = np.where((cos_out > 0.0) & (cos_in > 0.0), cos_out * cos_in * es.areas[None, :] / (np.pi * d * d), 0.0)
-    return T, np.where(np.isinf(d), 0.0, d)
+    n = es.areas.size
+    T = np.empty((n, n))
+    D = np.empty((n, n))
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        diff = es.centers[None, :, :] - es.centers[lo:hi, None, :]
+        d = np.linalg.norm(diff, axis=2)
+        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # no self-transfer
+        cos_out = np.einsum("ijk,ik->ij", diff, es.normals[lo:hi]) / d
+        cos_in = -np.einsum("ijk,jk->ij", diff, es.normals) / d
+        T[lo:hi] = np.where((cos_out > 0.0) & (cos_in > 0.0),
+                            cos_out * cos_in * es.areas[None, :] / (np.pi * d * d), 0.0)
+        D[lo:hi] = np.where(np.isinf(d), 0.0, d)
+    return T, D
+
+
+def _reflectivity_classes(scene: Scene, max_order: int) -> list[list[int]]:
+    """Wavelength indices grouped by equal reflectivity in every traced element set.
+
+    Wavelengths in one class have bit-identical responses, so each class is
+    binned and summarised once. With max_order 0 no reflectivity is used and
+    all wavelengths form one class.
+    """
+    rhos = [scene.elements(o).reflectivity for o in range(1, max_order + 1)]
+    classes: list[list[int]] = []
+    for k in range(len(WAVELENGTHS)):
+        for cls in classes:
+            if all(np.array_equal(rho[:, cls[0]], rho[:, k]) for rho in rhos):
+                cls.append(k)
+                break
+        else:
+            classes.append([k])
+    return classes
 
 
 def _accumulate(
@@ -159,20 +194,23 @@ def _accumulate(
     illum: dict,
     capture: dict,
     transfer,
+    wavelengths: Sequence[int],
 ):
     """Bin all path chains up to the highest order keyed in ``illum``.
 
     ``illum[o]`` and ``capture[o]`` are the order-o arrays of _ap_illumination
     and _receiver_capture; ``transfer`` is _transfer_matrix's, for order 2.
-    Returns (bins[wavelength, n_bins], los_gain). Bin k covers time k*dt.
+    Row c of the bins weights each bounce by the reflectivity at wavelength
+    index ``wavelengths[c]``.
+    Returns (bins[len(wavelengths), n_bins], los_gain). Bin k covers time k*dt.
     """
     g0, t0 = los_contribution(ap, Vec3.from_iterable(rx), branch)
     los_idx = int(round(t0 / dt))
     n_bins = los_idx + 1
 
-    chains = []  # (indices, weights[n, 4])
+    chains = []  # (indices, [weights per wavelength row])
     for order, (E, d_ap) in illum.items():
-        es = scene.elements(order)
+        rho = scene.elements(order).reflectivity
         R, d_rx = capture[order]
         if order == 1:
             geo = E * R
@@ -180,8 +218,8 @@ def _accumulate(
             if sel.size:
                 delays = (d_ap[sel] + d_rx[sel]) / SPEED_OF_LIGHT_M_S
                 idx = np.rint(delays / dt).astype(np.int64)
-                weights = geo[sel, None] * es.reflectivity[sel, :]
-                chains.append((idx, weights))
+                geo = geo[sel]
+                chains.append((idx, [geo * rho[sel, k] for k in wavelengths]))
                 n_bins = max(n_bins, int(idx.max()) + 1)
         else:
             T, d12 = transfer
@@ -193,19 +231,16 @@ def _accumulate(
                 delays = (d_ap[ii, None] + d12[np.ix_(ii, jj)] + d_rx[None, jj]) / SPEED_OF_LIGHT_M_S
                 idx = np.rint(delays / dt).astype(np.int64).ravel()
                 # one reflectivity factor per bounce
-                weights = geo.ravel()[:, None] * (
-                    es.reflectivity[ii, :][:, None, :] * es.reflectivity[jj, :][None, :, :]
-                ).reshape(-1, len(WAVELENGTHS))
-                chains.append((idx, weights))
-                if idx.size:
-                    n_bins = max(n_bins, int(idx.max()) + 1)
+                chains.append((idx, [(geo * (rho[ii, k][:, None] * rho[jj, k][None, :])).ravel()
+                                     for k in wavelengths]))
+                n_bins = max(n_bins, int(idx.max()) + 1)
 
-    bins = np.zeros((len(WAVELENGTHS), n_bins))
+    bins = np.zeros((len(wavelengths), n_bins))
     if g0 > 0.0:
         bins[:, los_idx] += g0
     for idx, weights in chains:
-        for k in range(len(WAVELENGTHS)):
-            bins[k, :] += np.bincount(idx, weights=weights[:, k], minlength=n_bins)
+        for c, w in enumerate(weights):
+            bins[c, :] += np.bincount(idx, weights=w, minlength=n_bins)
     return bins, g0
 
 
@@ -235,8 +270,8 @@ def impulse_response(
     illum = {o: _ap_illumination(scene, ap, o) for o in orders}
     capture = {o: _receiver_capture(scene, rx, branch, o) for o in orders}
     transfer = _transfer_matrix(scene) if max_order == 2 else None
-    bins, _ = _accumulate(scene, ap, rx, branch, dt, illum, capture, transfer)
-    return _trim(bins[wavelength.index], dt)
+    bins, _ = _accumulate(scene, ap, rx, branch, dt, illum, capture, transfer, [wavelength.index])
+    return _trim(bins[0], dt)
 
 
 def dc_gain(ir: ImpulseResponse) -> float:
@@ -469,23 +504,25 @@ def gain_matrix(
     orders = range(1, max_order + 1)
     illum = [{o: _ap_illumination(scene, ap, o) for o in orders} for ap in scene.room.aps]
     transfer = _transfer_matrix(scene) if max_order == 2 else None
+    classes = _reflectivity_classes(scene, max_order)
+    representatives = [cls[0] for cls in classes]
 
     def fill_user(u: int) -> None:
         rx = users[u].as_array()
         for b in range(n_b):
             capture = {o: _receiver_capture(scene, rx, branches[b], o) for o in orders}
             for a in range(n_a):
-                bins, g0 = _accumulate(scene, scene.room.aps[a], rx, branches[b], dt, illum[a], capture, transfer)
-                for wl in WAVELENGTHS:
-                    k = wl.index
-                    m = metrics_from_response(_trim(bins[k], dt), f_cap=f_cap,
+                bins, g0 = _accumulate(scene, scene.room.aps[a], rx, branches[b], dt,
+                                       illum[a], capture, transfer, representatives)
+                for c, cls in enumerate(classes):
+                    m = metrics_from_response(_trim(bins[c], dt), f_cap=f_cap,
                                               los_blocked=(g0 == 0.0),
                                               dispersion_factor=dispersion_factor)
-                    dc[u, b, a, k] = m.dc_gain
-                    bw[u, b, a, k] = m.bandwidth_hz
-                    capped[u, b, a, k] = m.bandwidth_capped
-                    ds[u, b, a, k] = m.rms_delay_spread_s
-                    blocked[u, b, a, k] = m.los_blocked
+                    dc[u, b, a, cls] = m.dc_gain
+                    bw[u, b, a, cls] = m.bandwidth_hz
+                    capped[u, b, a, cls] = m.bandwidth_capped
+                    ds[u, b, a, cls] = m.rms_delay_spread_s
+                    blocked[u, b, a, cls] = m.los_blocked
 
     if workers <= 1:
         for u in range(n_u):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vlcwdma as v
+from vlcwdma import channel
 from vlcwdma.channel import (
     DEFAULT_DT_S,
     DEFAULT_F_CAP_HZ,
@@ -13,7 +14,7 @@ from vlcwdma.channel import (
     metrics_from_response,
 )
 from vlcwdma.geometry import Vec3
-from vlcwdma.scene import AccessPointSpec, BranchSpec, Wavelength, default_branches
+from vlcwdma.scene import AccessPointSpec, BranchSpec, SurfaceSpec, Wavelength, default_branches
 
 BR45, BR135, BR225, BR315 = default_branches()
 WIDE_ZENITH = BranchSpec(azimuth_deg=0.0, elevation_deg=90.0, fov_deg=85.0)
@@ -31,6 +32,18 @@ def los_closed_form(ap_pos, ap_normal, m, rx, bn, fov_deg, area):
         return 0.0, d / SPEED_OF_LIGHT_M_S
     g = (m + 1.0) / (2.0 * math.pi * d * d) * area * cos_phi**m * cos_theta
     return g, d / SPEED_OF_LIGHT_M_S
+
+
+def dense_transfer(scene):
+    """Element-to-element transfer and distances, evaluated on all N x N pairs at once."""
+    es = scene.elements(2)
+    diff = es.centers[None, :, :] - es.centers[:, None, :]
+    d = np.linalg.norm(diff, axis=2)
+    np.fill_diagonal(d, np.inf)
+    cos_out = np.einsum("ijk,ik->ij", diff, es.normals) / d
+    cos_in = -np.einsum("ijk,jk->ij", diff, es.normals) / d
+    T = np.where((cos_out > 0.0) & (cos_in > 0.0), cos_out * cos_in * es.areas[None, :] / (np.pi * d * d), 0.0)
+    return T, np.where(np.isinf(d), 0.0, d)
 
 
 class TestLosContribution:
@@ -289,6 +302,69 @@ class TestRmsDelaySpread:
             v.rms_delay_spread(ir)
 
 
+class TestTransferMatrix:
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    def test_blocks_equal_the_dense_formula(self, scene_b, monkeypatch, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(channel, "_BLOCK_ROWS", block_rows)
+        n = scene_b.elements(2).areas.size
+        assert n % channel._BLOCK_ROWS != 0   # the last block is partial
+        T, D = channel._transfer_matrix(scene_b)
+        T_dense, D_dense = dense_transfer(scene_b)
+        assert np.array_equal(T, T_dense)
+        assert np.array_equal(D, D_dense)
+        assert np.all(np.diag(T) == 0.0) and np.all(np.diag(D) == 0.0)
+
+
+def floor_scene(r, y, g, b):
+    floor = SurfaceSpec("floor", {Wavelength.RED: r, Wavelength.YELLOW: y,
+                                  Wavelength.GREEN: g, Wavelength.BLUE: b})
+    surfaces = (floor,) + tuple(s for s in v.default_surfaces() if s.surface_id != "floor")
+    aps = (AccessPointSpec(position=Vec3(1.0, 1.0, 3.0)), AccessPointSpec(position=Vec3(3.0, 3.0, 3.0)))
+    return v.discretize(v.RoomSpec(4.0, 4.0, 3.0, surfaces, aps))
+
+
+class TestReflectivityClasses:
+    # a low, wide branch sees the floor at order 1; the default one only by a second bounce
+    BRANCHES = (BR45, BranchSpec(azimuth_deg=0.0, elevation_deg=10.0, fov_deg=85.0))
+    RHO = {Wavelength.RED: 0.3, Wavelength.YELLOW: 0.3, Wavelength.GREEN: 0.5, Wavelength.BLUE: 0.1}
+
+    def test_classes_follow_the_traced_element_sets(self, scene_b):
+        scene = floor_scene(*self.RHO.values())
+        assert channel._reflectivity_classes(scene, 0) == [[0, 1, 2, 3]]
+        assert channel._reflectivity_classes(scene, 1) == [[0, 1], [2], [3]]
+        assert channel._reflectivity_classes(scene, 2) == [[0, 1], [2], [3]]
+        assert channel._reflectivity_classes(scene_b, 2) == [[0, 1, 2, 3]]
+
+    @pytest.mark.parametrize("max_order", [1, 2])
+    def test_cells_equal_impulse_response_per_wavelength(self, max_order):
+        scene = floor_scene(*self.RHO.values())
+        rx = Vec3(1.3, 2.2, 1.0)
+        table = v.gain_matrix(scene, [rx], max_order=max_order, branches=self.BRANCHES)
+        for b, branch in enumerate(self.BRANCHES):
+            for a, ap in enumerate(scene.room.aps):
+                for wl in Wavelength:
+                    ir = v.impulse_response(scene, ap, rx, branch, wl, max_order=max_order)
+                    assert v.dc_gain(ir) == table.dc[0, b, a, wl.index]
+                    assert metrics_from_response(ir).bandwidth_hz == table.bandwidth_hz[0, b, a, wl.index]
+        red, yellow, green, blue = (wl.index for wl in self.RHO)
+        for arr in (table.dc, table.bandwidth_hz, table.delay_spread_s):
+            assert np.array_equal(arr[..., red], arr[..., yellow])
+        assert not np.array_equal(table.dc[..., green], table.dc[..., blue])
+
+    @pytest.mark.parametrize("max_order", [1, 2])
+    def test_each_class_equals_a_flat_floor_of_its_reflectivity(self, max_order):
+        # a single-class scene traces the same products, so each column matches bit for bit
+        rx = Vec3(1.3, 2.2, 1.0)
+        table = v.gain_matrix(floor_scene(*self.RHO.values()), [rx], max_order=max_order,
+                              branches=self.BRANCHES)
+        for wl, rho in self.RHO.items():
+            flat = v.gain_matrix(floor_scene(rho, rho, rho, rho), [rx], max_order=max_order,
+                                 branches=self.BRANCHES)
+            assert np.array_equal(table.dc[..., wl.index], flat.dc[..., 0])
+            assert np.array_equal(table.bandwidth_hz[..., wl.index], flat.bandwidth_hz[..., 0])
+
+
 class TestGainMatrix:
     def test_cardinality(self, scene_b):
         table = v.gain_matrix(scene_b, [Vec3(2.0, 2.0, 1.0)], max_order=0)
@@ -336,6 +412,16 @@ class TestGainMatrix:
                                      Wavelength.RED, max_order=0)
             g.append(v.dc_gain(ir1) - v.dc_gain(ir0))
         assert abs(g[1] - g[0]) / g[0] < 0.05
+
+    def test_first_bounce_irradiance_converges_at_dx_squared(self):
+        # one AP's light all lands on the room's surfaces: the element sum tends to 1 at O(dx^2)
+        room = v.standard_room("A")
+        sums = [channel._ap_illumination(v.discretize(room, dx, 0.5), room.aps[0], 1)[0].sum()
+                for dx in (0.5, 0.25, 0.125)]
+        errors = [abs(s - 1.0) for s in sums]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+        assert errors[-1] < 1e-3
 
     def test_element_centred_on_an_ap_traces_without_warnings(self):
         # Room A at 0.2/0.4 m puts order-2 element centres on APs; RuntimeWarnings are errors here
