@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -142,28 +143,54 @@ def _receiver_capture(scene: Scene, rx: np.ndarray, branch: BranchSpec, order: i
     return R, dr
 
 
-def _transfer_matrix(scene: Scene):
-    """Element-to-element Lambertian transfer on the second-order grid.
+def _transfer_matrix(scene: Scene, rows: np.ndarray, cols: np.ndarray):
+    """Lambertian transfer from second-order elements ``rows`` to elements ``cols``.
 
-    T and the distances D are filled _BLOCK_ROWS rows at a time, so the
-    temporaries scale with the block, not with N x N. Each entry uses the
-    same arithmetic as a dense evaluation and is bit-identical to it.
+    Returns T and the distances D, both len(rows) x len(cols); a pair of an
+    element with itself transfers nothing and has distance 0. They are
+    filled _BLOCK_ROWS rows at a time, so the temporaries scale with the
+    block, not with the whole matrix. Each entry uses the same arithmetic as
+    a dense N x N evaluation and is bit-identical to it.
     """
     es = scene.elements(2)
-    n = es.areas.size
-    T = np.empty((n, n))
-    D = np.empty((n, n))
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        diff = es.centers[None, :, :] - es.centers[lo:hi, None, :]
+    centers, normals, areas = es.centers[cols], es.normals[cols], es.areas[cols]
+    T = np.empty((rows.size, cols.size))
+    D = np.empty((rows.size, cols.size))
+    for lo in range(0, rows.size, _BLOCK_ROWS):
+        block = rows[lo:lo + _BLOCK_ROWS]
+        diff = centers[None, :, :] - es.centers[block, None, :]
         d = np.linalg.norm(diff, axis=2)
-        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # no self-transfer
-        cos_out = np.einsum("ijk,ik->ij", diff, es.normals[lo:hi]) / d
-        cos_in = -np.einsum("ijk,jk->ij", diff, es.normals) / d
-        T[lo:hi] = np.where((cos_out > 0.0) & (cos_in > 0.0),
-                            cos_out * cos_in * es.areas[None, :] / (np.pi * d * d), 0.0)
-        D[lo:hi] = np.where(np.isinf(d), 0.0, d)
+        d[block[:, None] == cols[None, :]] = np.inf  # no self-transfer
+        cos_out = np.einsum("ijk,ik->ij", diff, es.normals[block]) / d
+        cos_in = -np.einsum("ijk,jk->ij", diff, normals) / d
+        T[lo:lo + block.size] = np.where((cos_out > 0.0) & (cos_in > 0.0),
+                                         cos_out * cos_in * areas[None, :] / (np.pi * d * d), 0.0)
+        D[lo:lo + block.size] = np.where(np.isinf(d), 0.0, d)
     return T, D
+
+
+def _positive_anywhere(arrays: list[np.ndarray], scene: Scene) -> np.ndarray:
+    """Second-order elements that are positive in at least one of ``arrays``."""
+    hit = np.zeros(scene.elements(2).areas.size, dtype=bool)
+    for x in arrays:
+        hit |= x > 0.0
+    return np.nonzero(hit)[0]
+
+
+def _hoist_first_hop(E: np.ndarray, d_ap: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                     T: np.ndarray, D: np.ndarray):
+    """One AP's order-2 first hop folded into the transfer matrix.
+
+    ``T``/``D`` are _transfer_matrix(scene, rows, cols) and ``rows`` holds
+    every element the AP lights. Returns (lit elements ii, cols, E[ii] * T,
+    d_ap[ii] + D), the first factor and first sum of each chain, so every
+    (user, branch) of this AP only gathers its columns.
+    """
+    ii = np.nonzero(E > 0.0)[0]
+    if ii.size < rows.size:   # ii is a subset of rows; when equal, T and D are used as they are
+        at = np.searchsorted(rows, ii)
+        T, D = T[at], D[at]
+    return ii, cols, E[ii, None] * T, d_ap[ii, None] + D
 
 
 def _reflectivity_classes(scene: Scene, max_order: int) -> list[list[int]]:
@@ -191,17 +218,17 @@ def _accumulate(
     rx: np.ndarray,
     branch: BranchSpec,
     dt: float,
-    illum: dict,
+    first: tuple | None,
+    hop2: tuple | None,
     capture: dict,
-    transfer,
     wavelengths: Sequence[int],
 ):
-    """Bin all path chains up to the highest order keyed in ``illum``.
+    """Bin the LOS path and every order-1 and order-2 chain that is given.
 
-    ``illum[o]`` and ``capture[o]`` are the order-o arrays of _ap_illumination
-    and _receiver_capture; ``transfer`` is _transfer_matrix's, for order 2.
-    Row c of the bins weights each bounce by the reflectivity at wavelength
-    index ``wavelengths[c]``.
+    ``first`` is _ap_illumination's (E, d_ap) at order 1, ``hop2`` is
+    _hoist_first_hop's tuple, and ``capture[o]`` is _receiver_capture's at
+    order o; None skips an order. Row c of the bins weights each bounce by
+    the reflectivity at wavelength index ``wavelengths[c]``.
     Returns (bins[len(wavelengths), n_bins], los_gain). Bin k covers time k*dt.
     """
     g0, t0 = los_contribution(ap, Vec3.from_iterable(rx), branch)
@@ -209,31 +236,33 @@ def _accumulate(
     n_bins = los_idx + 1
 
     chains = []  # (indices, [weights per wavelength row])
-    for order, (E, d_ap) in illum.items():
-        rho = scene.elements(order).reflectivity
-        R, d_rx = capture[order]
-        if order == 1:
-            geo = E * R
-            sel = np.nonzero(geo > 0.0)[0]
-            if sel.size:
-                delays = (d_ap[sel] + d_rx[sel]) / SPEED_OF_LIGHT_M_S
-                idx = np.rint(delays / dt).astype(np.int64)
-                geo = geo[sel]
-                chains.append((idx, [geo * rho[sel, k] for k in wavelengths]))
-                n_bins = max(n_bins, int(idx.max()) + 1)
-        else:
-            T, d12 = transfer
-            ii = np.nonzero(E > 0.0)[0]
-            jj = np.nonzero(R > 0.0)[0]
-            if ii.size and jj.size:
-                Tsub = T[np.ix_(ii, jj)]
-                geo = E[ii, None] * Tsub * R[None, jj]
-                delays = (d_ap[ii, None] + d12[np.ix_(ii, jj)] + d_rx[None, jj]) / SPEED_OF_LIGHT_M_S
-                idx = np.rint(delays / dt).astype(np.int64).ravel()
-                # one reflectivity factor per bounce
-                chains.append((idx, [(geo * (rho[ii, k][:, None] * rho[jj, k][None, :])).ravel()
-                                     for k in wavelengths]))
-                n_bins = max(n_bins, int(idx.max()) + 1)
+    if first is not None:
+        E, d_ap = first
+        R, d_rx = capture[1]
+        rho = scene.elements(1).reflectivity
+        geo = E * R
+        sel = np.nonzero(geo > 0.0)[0]
+        if sel.size:
+            delays = (d_ap[sel] + d_rx[sel]) / SPEED_OF_LIGHT_M_S
+            idx = np.rint(delays / dt).astype(np.int64)
+            geo = geo[sel]
+            chains.append((idx, [geo * rho[sel, k] for k in wavelengths]))
+            n_bins = max(n_bins, int(idx.max()) + 1)
+    if hop2 is not None:
+        ii, cols, ET, DD = hop2
+        R, d_rx = capture[2]
+        rho = scene.elements(2).reflectivity
+        jj = np.nonzero(R > 0.0)[0]
+        if ii.size and jj.size:
+            at = np.searchsorted(cols, jj)
+            # (E * T) * R and (d_ap + D) + d_rx associate as E * T * R and d_ap + D + d_rx do
+            geo = ET[:, at] * R[None, jj]
+            delays = (DD[:, at] + d_rx[None, jj]) / SPEED_OF_LIGHT_M_S
+            idx = np.rint(delays / dt).astype(np.int64).ravel()
+            # one reflectivity factor per bounce
+            chains.append((idx, [(geo * (rho[ii, k][:, None] * rho[jj, k][None, :])).ravel()
+                                 for k in wavelengths]))
+            n_bins = max(n_bins, int(idx.max()) + 1)
 
     bins = np.zeros((len(wavelengths), n_bins))
     if g0 > 0.0:
@@ -269,8 +298,13 @@ def impulse_response(
     orders = range(1, max_order + 1)
     illum = {o: _ap_illumination(scene, ap, o) for o in orders}
     capture = {o: _receiver_capture(scene, rx, branch, o) for o in orders}
-    transfer = _transfer_matrix(scene) if max_order == 2 else None
-    bins, _ = _accumulate(scene, ap, rx, branch, dt, illum, capture, transfer, [wavelength.index])
+    hop2 = None
+    if max_order == 2:
+        (E, d_ap), (R, _) = illum[2], capture[2]
+        rows, cols = np.nonzero(E > 0.0)[0], np.nonzero(R > 0.0)[0]
+        hop2 = _hoist_first_hop(E, d_ap, rows, cols, *_transfer_matrix(scene, rows, cols))
+    bins, _ = _accumulate(scene, ap, rx, branch, dt, illum.get(1), hop2, capture,
+                          [wavelength.index])
     return _trim(bins[0], dt)
 
 
@@ -396,21 +430,19 @@ class GainTable:
         )
 
     def write_csv(self, path: str) -> None:
+        # Python floats from tolist() have the same repr as float() of each numpy scalar
+        dc, bw, ds, tx = (arr.astype(float, copy=False).tolist() for arr in (
+            self.dc, self.bandwidth_hz, self.delay_spread_s, self.tx_power_w))
+        capped, blocked = self.bandwidth_capped.tolist(), self.los_blocked.tolist()
         rows = []
         for u in range(self.n_users):
             for b in range(self.n_branches):
                 for a in range(self.n_aps):
                     for wl in WAVELENGTHS:
                         k = wl.index
-                        rows.append([
-                            u, b + 1, a + 1, wl.value,
-                            repr(float(self.dc[u, b, a, k])),
-                            repr(float(self.bandwidth_hz[u, b, a, k])),
-                            int(self.bandwidth_capped[u, b, a, k]),
-                            repr(float(self.delay_spread_s[u, b, a, k])),
-                            int(self.los_blocked[u, b, a, k]),
-                            repr(float(self.tx_power_w[a, k])),
-                        ])
+                        rows.append(f"{u},{b + 1},{a + 1},{wl.value},{dc[u][b][a][k]!r},"
+                                    f"{bw[u][b][a][k]!r},{int(capped[u][b][a][k])},"
+                                    f"{ds[u][b][a][k]!r},{int(blocked[u][b][a][k])},{tx[a][k]!r}")
         header_meta = [
             f"# fingerprint={self.scene_fingerprint}",
             f"# max_order={self.max_order}",
@@ -418,7 +450,7 @@ class GainTable:
         ]
         atomic_write(path, "\n".join(header_meta) + "\n"
                       + "user,branch,ap,wavelength,dc_gain,bandwidth_hz,bandwidth_capped,delay_spread_s,los_blocked,tx_power_w\n"
-                      + "\n".join(",".join(str(c) for c in row) for row in rows) + "\n")
+                      + "\n".join(rows) + "\n")
 
     @classmethod
     def read_csv(cls, path: str) -> "GainTable":
@@ -483,6 +515,11 @@ def gain_matrix(
 ) -> GainTable:
     """Complete channel table for all users, branches, APs and wavelengths.
 
+    Every user's and branch's captures are computed first, so the order-2
+    transfer matrix is built only from the elements some AP lights to the
+    elements some (user, branch) captures. APs are the outer loop: each
+    AP's first hop is folded into that matrix once, and its (user, branch)
+    cells then gather their own columns, ``workers`` threads over users.
     Results are identical regardless of worker count: each (user, branch, AP)
     cell is computed independently with a fixed accumulation order.
     """
@@ -503,33 +540,43 @@ def gain_matrix(
 
     orders = range(1, max_order + 1)
     illum = [{o: _ap_illumination(scene, ap, o) for o in orders} for ap in scene.room.aps]
-    transfer = _transfer_matrix(scene) if max_order == 2 else None
+    captures = [[{o: _receiver_capture(scene, p.as_array(), br, o) for o in orders}
+                 for br in branches] for p in users]
+    transfer = None
+    if max_order == 2:
+        rows = _positive_anywhere([il[2][0] for il in illum], scene)
+        cols = _positive_anywhere([cap[2][0] for per_user in captures for cap in per_user], scene)
+        transfer = (rows, cols, *_transfer_matrix(scene, rows, cols))
     classes = _reflectivity_classes(scene, max_order)
     representatives = [cls[0] for cls in classes]
 
-    def fill_user(u: int) -> None:
+    def fill_cells(a: int, hop2, u: int) -> None:
         rx = users[u].as_array()
         for b in range(n_b):
-            capture = {o: _receiver_capture(scene, rx, branches[b], o) for o in orders}
-            for a in range(n_a):
-                bins, g0 = _accumulate(scene, scene.room.aps[a], rx, branches[b], dt,
-                                       illum[a], capture, transfer, representatives)
-                for c, cls in enumerate(classes):
-                    m = metrics_from_response(_trim(bins[c], dt), f_cap=f_cap,
-                                              los_blocked=(g0 == 0.0),
-                                              dispersion_factor=dispersion_factor)
-                    dc[u, b, a, cls] = m.dc_gain
-                    bw[u, b, a, cls] = m.bandwidth_hz
-                    capped[u, b, a, cls] = m.bandwidth_capped
-                    ds[u, b, a, cls] = m.rms_delay_spread_s
-                    blocked[u, b, a, cls] = m.los_blocked
+            bins, g0 = _accumulate(scene, scene.room.aps[a], rx, branches[b], dt,
+                                   illum[a].get(1), hop2, captures[u][b], representatives)
+            for c, cls in enumerate(classes):
+                m = metrics_from_response(_trim(bins[c], dt), f_cap=f_cap,
+                                          los_blocked=(g0 == 0.0),
+                                          dispersion_factor=dispersion_factor)
+                dc[u, b, a, cls] = m.dc_gain
+                bw[u, b, a, cls] = m.bandwidth_hz
+                capped[u, b, a, cls] = m.bandwidth_capped
+                ds[u, b, a, cls] = m.rms_delay_spread_s
+                blocked[u, b, a, cls] = m.los_blocked
+
+    def fill_ap(a: int, map_users) -> None:
+        # the hoisted pair is one AP's: it is freed before the next AP's is built
+        hop2 = _hoist_first_hop(*illum[a][2], *transfer) if transfer else None
+        list(map_users(partial(fill_cells, a, hop2), range(n_u)))
 
     if workers <= 1:
-        for u in range(n_u):
-            fill_user(u)
+        for a in range(n_a):
+            fill_ap(a, map)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_user, range(n_u)))
+            for a in range(n_a):
+                fill_ap(a, pool.map)
 
     tx = np.array([[ap.power_w(wl) for wl in WAVELENGTHS] for ap in scene.room.aps])
     return GainTable(list(users), n_b, n_a, dc, bw, capped, ds, blocked, tx,

@@ -309,11 +309,50 @@ class TestTransferMatrix:
             monkeypatch.setattr(channel, "_BLOCK_ROWS", block_rows)
         n = scene_b.elements(2).areas.size
         assert n % channel._BLOCK_ROWS != 0   # the last block is partial
-        T, D = channel._transfer_matrix(scene_b)
+        every = np.arange(n)
+        T, D = channel._transfer_matrix(scene_b, every, every)
         T_dense, D_dense = dense_transfer(scene_b)
         assert np.array_equal(T, T_dense)
         assert np.array_equal(D, D_dense)
         assert np.all(np.diag(T) == 0.0) and np.all(np.diag(D) == 0.0)
+
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    def test_restricted_sets_equal_the_dense_submatrix(self, scene_b, monkeypatch, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(channel, "_BLOCK_ROWS", block_rows)
+        n = scene_b.elements(2).areas.size
+        rows = np.arange(0, n, 3)
+        cols = np.arange(n // 4, n, 2)           # overlaps rows on every sixth element
+        shared = np.intersect1d(rows, cols)
+        assert shared.size and rows.size % channel._BLOCK_ROWS != 0
+        T, D = channel._transfer_matrix(scene_b, rows, cols)
+        T_dense, D_dense = dense_transfer(scene_b)
+        assert np.array_equal(T, T_dense[np.ix_(rows, cols)])
+        assert np.array_equal(D, D_dense[np.ix_(rows, cols)])
+        self_pairs = (np.searchsorted(rows, shared), np.searchsorted(cols, shared))
+        assert np.all(T[self_pairs] == 0.0) and np.all(D[self_pairs] == 0.0)
+
+    def test_empty_column_set(self, scene_b):
+        rows = np.arange(10)
+        T, D = channel._transfer_matrix(scene_b, rows, np.arange(0))
+        assert T.shape == D.shape == (10, 0)
+
+    def test_impulse_response_traces_only_its_own_pairs(self, scene_b, monkeypatch):
+        ap, rx = scene_b.room.aps[0], Vec3(1.3, 2.2, 1.0)
+        build = channel._transfer_matrix
+        asked = []
+
+        def spy(scene, rows, cols):
+            asked.append((rows.size, cols.size))
+            return build(scene, rows, cols)
+
+        monkeypatch.setattr(channel, "_transfer_matrix", spy)
+        v.impulse_response(scene_b, ap, rx, BR45, Wavelength.RED, max_order=2)
+        E, _ = channel._ap_illumination(scene_b, ap, 2)
+        R, _ = channel._receiver_capture(scene_b, rx.as_array(), BR45, 2)
+        n = scene_b.elements(2).areas.size
+        assert asked == [(np.count_nonzero(E > 0.0), np.count_nonzero(R > 0.0))]
+        assert asked[0][0] * asked[0][1] < n * n
 
 
 def floor_scene(r, y, g, b):
@@ -395,9 +434,9 @@ class TestGainMatrix:
         t1 = v.gain_matrix(scene_b, users, max_order=2, workers=1)
         t2 = v.gain_matrix(scene_b, users, max_order=2, workers=1)
         t3 = v.gain_matrix(scene_b, users, max_order=2, workers=4)
-        assert np.array_equal(t1.dc, t2.dc)
-        assert np.array_equal(t1.dc, t3.dc)
-        assert np.array_equal(t1.bandwidth_hz, t3.bandwidth_hz)
+        for other in (t2, t3):
+            for name in ("dc", "bandwidth_hz", "bandwidth_capped", "delay_spread_s", "los_blocked"):
+                assert np.array_equal(getattr(t1, name), getattr(other, name)), name
 
     def test_convergence_on_element_halving(self, room_b):
         # first-order gain must move < 5% when elements shrink 2x
@@ -443,6 +482,24 @@ class TestGainMatrix:
                     ir = v.impulse_response(scene_b, ap, rx, branch, wl, max_order=2)
                     assert v.dc_gain(ir) == table.dc[0, b, a, wl.index]
                     assert metrics_from_response(ir).bandwidth_hz == table.bandwidth_hz[0, b, a, wl.index]
+
+    def test_ap_lighting_fewer_elements_agrees_with_impulse_response(self):
+        # a tilted AP leaves the wall behind it dark, so it lights a strict subset of the rows
+        tilt = math.radians(60.0)
+        tilted = AccessPointSpec(position=Vec3(2.0, 2.0, 3.0),
+                                 orientation=Vec3(math.sin(tilt), 0.0, -math.cos(tilt)))
+        room = v.RoomSpec(4.0, 4.0, 3.0, v.default_surfaces(),
+                          (AccessPointSpec(position=Vec3(1.0, 1.0, 3.0)), tilted))
+        scene = v.discretize(room)
+        lit = [np.count_nonzero(channel._ap_illumination(scene, ap, 2)[0] > 0.0) for ap in room.aps]
+        assert lit[1] < lit[0]
+        rx = Vec3(1.3, 2.2, 1.0)
+        table = v.gain_matrix(scene, [rx], max_order=2)
+        for b, branch in enumerate(default_branches()):
+            for a, ap in enumerate(room.aps):
+                ir = v.impulse_response(scene, ap, rx, branch, Wavelength.RED, max_order=2)
+                assert v.dc_gain(ir) == table.dc[0, b, a, 0]
+                assert metrics_from_response(ir).bandwidth_hz == table.bandwidth_hz[0, b, a, 0]
 
     def test_metrics_invariants(self, scene_b):
         table = v.gain_matrix(scene_b, [Vec3(0.5, 1.5, 1.0)], max_order=2)
