@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -90,10 +91,11 @@ class SolverConfig:
         errors = []
         if self.objective not in ("db", "linear"):
             errors.append(f"objective must be 'db' or 'linear', got {self.objective!r}")
-        if self.k < 1:
-            errors.append(f"candidate cap must be >= 1, got {self.k}")
-        if self.time_limit_s is not None and not self.time_limit_s >= 0.0:  # NaN fails too
-            errors.append(f"time limit must be >= 0 seconds, got {self.time_limit_s}")
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral) or self.k < 1:
+            errors.append(f"candidate cap must be an integer >= 1, got {self.k!r}")
+        if self.time_limit_s is not None and not (isinstance(self.time_limit_s, numbers.Real)
+                                                  and self.time_limit_s >= 0.0):  # NaN fails too
+            errors.append(f"time limit must be >= 0 seconds, got {self.time_limit_s!r}")
         if errors:
             raise ConfigError(errors)
 
@@ -116,16 +118,18 @@ def candidates(
     config: SolverConfig = SolverConfig(),
 ) -> list[Candidate]:
     """All positive-gain triples for a user, best interference-free SINR first."""
-    model = SinrModel(table, front_end)
+    return _candidates(user, SinrModel(table, front_end), config)
+
+
+def _candidates(user: int, model: SinrModel, config: SolverConfig) -> list[Candidate]:
     out = []
-    for b in range(table.n_branches):
-        for a in range(table.n_aps):
-            for wl in WAVELENGTHS:
-                if table.dc[user, b, a, wl.index] > 0.0:
-                    cand = Candidate(user, a, b, wl, 0.0)
-                    lin = model.sinr_linear(user, cand, ())
-                    if lin > 0.0:
-                        out.append(replace(cand, iso_sinr_db=10.0 * math.log10(lin)))
+    for b, seen in enumerate(model.currents[user]):
+        for a, wl in itertools.product(range(len(seen)), WAVELENGTHS):
+            if seen[a][wl.index] > 0.0:
+                cand = Candidate(user, a, b, wl, 0.0)
+                lin = model.sinr_linear(user, cand, ())
+                if lin > 0.0:
+                    out.append(replace(cand, iso_sinr_db=10.0 * math.log10(lin)))
     if not out:
         raise InfeasibleUserError(f"user {user} has no (AP, branch, wavelength) with positive gain")
     out.sort(key=lambda c: (-c.iso_sinr_db, c.key))
@@ -166,7 +170,8 @@ def solve_exhaustive(
     users = list(users)
     if not users:
         return Assignment({}, 0.0, config.objective, True)
-    cand_lists = [candidates(u, table, front_end, config) for u in users]
+    model = SinrModel(table, front_end)
+    cand_lists = [_candidates(u, model, config) for u in users]
     space = 1.0
     for lst in cand_lists:
         space *= len(lst)
@@ -174,7 +179,7 @@ def solve_exhaustive(
         raise SearchSpaceLimitError(
             f"search space {space:.3g} exceeds the {EXHAUSTIVE_SPACE_LIMIT:.0g} limit"
         )
-    evaluate = partial(_score, SinrModel(table, front_end), scale=config.objective)
+    evaluate = partial(_score, model, scale=config.objective)
     best_score = float("-inf")
     best: tuple[Candidate, ...] | None = None
     best_key: tuple | None = None
@@ -237,11 +242,11 @@ def _greedy_construct(order, cand_lists, evaluate) -> dict[int, Candidate] | Non
 
 
 def _local_search(picks, order, cand_lists, evaluate) -> float:
-    """Pairwise joint reassignment (2-opt), in place, to a local optimum.
-
-    A pair move also covers a single reassignment (the other user keeps its
-    pick) and an ejection chain (``u`` and the holder of the resource it
-    takes), since both users' resources are free to the pair.
+    """Pairwise joint reassignment (2-opt), in place, to a local optimum, in at
+    most 50 rounds (no measured run needed more than 6). A pair move also
+    covers a single reassignment (the other user keeps its pick) and an
+    ejection chain (``u`` and the holder of the resource it takes), since
+    both users' resources are free to the pair.
     """
     score_now = evaluate(list(picks.values()))
     improved = True
@@ -279,8 +284,9 @@ def solve_greedy(
     users = list(users)
     if not users:
         return Assignment({}, 0.0, config.objective, True)
-    cand_lists = {u: candidates(u, table, front_end, config) for u in users}
-    evaluate = partial(_score, SinrModel(table, front_end), scale=config.objective)
+    model = SinrModel(table, front_end)
+    cand_lists = {u: _candidates(u, model, config) for u in users}
+    evaluate = partial(_score, model, scale=config.objective)
     order = sorted(users, key=lambda u: (-cand_lists[u][0].iso_sinr_db, u))
 
     best_picks: dict[int, Candidate] | None = None
@@ -379,15 +385,15 @@ def solve_exact(
     users = list(users)
     if not users:
         return Assignment({}, 0.0, config.objective, True)
-    cand_lists = {u: candidates(u, table, front_end, config) for u in users}
     model = SinrModel(table, front_end)
+    cand_lists = {u: _candidates(u, model, config) for u in users}
     evaluate = partial(_score, model, scale=config.objective)
     order = sorted(users, key=lambda u: (-cand_lists[u][0].iso_sinr_db, u))
     weights, columns = _resource_weights([cand_lists[u] for u in order], config.objective)
-    currents, sigma2, leak_factor = model.currents.tolist(), model.sigma2.tolist(), model.crosstalk
-    # per depth: (candidate, column, wavelength, AP, currents[u][b] as [ap][wl], signal, noise floor)
-    options = [[(c, columns[c.resource], c.wavelength.index, c.ap, currents[u][c.branch],
-                 currents[u][c.branch][c.ap][c.wavelength.index], sigma2[u][c.branch])
+    # per depth: (candidate, column, its pair's index in a terms row, its terms row, signal, noise floor)
+    options = [[(c, columns[c.resource], c.ap * len(WAVELENGTHS) + c.wavelength.index,
+                 model.terms[u][c.branch][c.wavelength.index],
+                 model.currents[u][c.branch][c.ap][c.wavelength.index], model.sigma2[u][c.branch])
                 for c in cand_lists[u]] for u in order]
     db = config.objective == "db"
     deadline = None if config.time_limit_s is None else time.monotonic() + config.time_limit_s
@@ -418,18 +424,13 @@ def solve_exact(
             return
         rest -= p[0]  # child u -> r: the node's duals still bound the rest, by D - p[u] - q[r]
         for opt in options[depth]:
-            _, col, wl, ap, view, sig, own = opt  # own: the child's denominator, from its noise floor
+            _, col, pair, row, sig, own = opt  # own: the child's denominator, from its noise floor
             if col in used:
                 continue
-            # sinr_linear's terms: co-wavelength i^2, leaked (x*i)^2
             score, child = 0.0, []
-            for (_, _, pwl, pap, pview, psig, _), den in zip(placed, denoms):
-                if wl == pwl:
-                    den += pview[ap][wl] ** 2
-                    own += view[pap][pwl] ** 2
-                elif leak_factor > 0.0:
-                    den += (leak := leak_factor * pview[ap][wl]) * leak
-                    own += (leak := leak_factor * view[pap][pwl]) * leak
+            for (_, _, ppair, prow, psig, _), den in zip(placed, denoms):
+                den += prow[pair]
+                own += row[ppair]
                 child.append(den)
                 lin = psig * psig / den
                 score += (10.0 * math.log10(lin) if db else lin) if lin > 0.0 else float("-inf")

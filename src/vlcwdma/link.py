@@ -31,6 +31,7 @@ FEC_THRESHOLD_DB = 15.6
 FEC_RATE_PENALTY = 0.874
 FEC_FLOOR_DB = 6.0
 OOK_BANDWIDTH_RATIO = 0.7
+_N_WL = len(WAVELENGTHS)
 
 
 class UnsupportedLinkError(ValueError):
@@ -123,42 +124,45 @@ class SinrModel:
     def __init__(self, table: GainTable, front_end: ReceiverFrontEnd = DEFAULT_FRONT_END):
         self.table = table
         resp = np.array([front_end.responsivity(wl) for wl in WAVELENGTHS])
-        # currents[u, b, a, k]: photocurrent of pair (a, k) seen on branch b
-        self.currents = table.dc * table.tx_power_w[None, None, :, :] * resp[None, None, None, :]
+        currents = table.dc * table.tx_power_w[None, None, :, :] * resp[None, None, None, :]
         # every pair radiates regardless of assignment, so the noise floor
         # depends on the (user, branch) only
-        self.sigma2 = noise_variance(self.currents.sum(axis=(2, 3)), front_end.bandwidth_hz, front_end)
-        self.crosstalk = front_end.crosstalk
+        self.sigma2 = noise_variance(currents.sum(axis=(2, 3)), front_end.bandwidth_hz, front_end).tolist()
+        self.currents = currents.tolist()  # [u][b][a][k]: photocurrent of pair (a, k) on branch b
+        # terms[u][b][k][a * len(WAVELENGTHS) + k2]: what the modulated pair (a, k2) adds to
+        # user u's SINR denominator on branch b at wavelength k: i ** 2 if k2 == k (C pow;
+        # i * i and np.square differ in the last bit), else the leaked (x*i)^2
+        x = front_end.crosstalk
+        leaks = ((x * currents) * (x * currents)).astype(object) if x > 0.0 else np.full(currents.shape, 0.0, object)
+        terms = np.repeat(leaks[:, :, None], _N_WL, axis=2)  # [u, b, k, a, k2]; the rows share floats
+        squares = np.reshape(np.array([i ** 2 for i in currents.ravel().tolist()], object), currents.shape)
+        for k in range(_N_WL):
+            terms[:, :, k, :, k] = squares[..., k]
+        self.terms = terms.reshape(*terms.shape[:3], -1).tolist()
 
     def sinr_linear(self, user: int, own, entries: Iterable) -> float:
-        """i_sig^2 / (noise + co-channel^2 + leaked other-wavelength^2); 0 without signal."""
-        b = own.branch
-        i_sig = self.currents[user, b, own.ap, own.wavelength.index]
+        """i_sig^2 / (noise floor + each other entry's term, in entry order); 0 without signal."""
+        i_sig = self.currents[user][own.branch][own.ap][own.wavelength.index]
         if i_sig <= 0.0:
             return 0.0
-        denom = self.sigma2[user, b]
+        row = self.terms[user][own.branch][own.wavelength.index]
+        denom = self.sigma2[user][own.branch]
         for other in entries:
-            if other is own:
-                continue
-            if other.wavelength == own.wavelength:
-                denom += self.currents[user, b, other.ap, other.wavelength.index] ** 2
-            elif self.crosstalk > 0.0:
-                # modulated other-wavelength light leaking past the demultiplexer
-                leak = self.crosstalk * self.currents[user, b, other.ap, other.wavelength.index]
-                denom += leak * leak
-        return float(i_sig * i_sig / denom)
+            if other is not own:
+                denom += row[other.ap * _N_WL + other.wavelength.index]
+        return i_sig * i_sig / denom
 
     def link_budget(self, user: int, assignment: Mapping[int, object]) -> LinkBudget:
         """Full current/noise/SINR breakdown for one user under an assignment."""
         own = assignment[user]
         _, interference, background = classify_light(user, assignment, self.table)
-        seen = self.currents[user, own.branch].tolist()  # [ap][wavelength index]
+        seen = self.currents[user][own.branch]  # [ap][wavelength index]
         lin = self.sinr_linear(user, own, assignment.values())
         return LinkBudget(
             signal_a=seen[own.ap][own.wavelength.index],
             interference_a=tuple(seen[a][wl.index] for a, wl in interference),
             background_a=tuple(seen[a][wl.index] for a, wl in background),
-            noise_var_a2=float(self.sigma2[user, own.branch]),
+            noise_var_a2=self.sigma2[user][own.branch],
             sinr_db=10.0 * math.log10(lin) if lin > 0.0 else float("-inf"),
         )
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vlcwdma as v
+from vlcwdma import allocator
 from vlcwdma.allocator import (
     Assignment,
     Candidate,
@@ -15,7 +16,7 @@ from vlcwdma.allocator import (
     assignment_csv_lines,
 )
 from vlcwdma.geometry import Vec3
-from vlcwdma.scene import WAVELENGTHS
+from vlcwdma.scene import WAVELENGTHS, ConfigError
 
 from conftest import random_gain_table
 
@@ -349,6 +350,43 @@ class TestGreedy:
         r2 = v.solve_greedy(range(5), t2)
         assert r1.key() == r2.key()
         assert r1.objective_value == r2.objective_value
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3", None, 0, -1])
+    def test_bad_cap_is_config_error(self, k):
+        with pytest.raises(ConfigError, match="candidate cap must be an integer >= 1"):
+            SolverConfig(k=k)
+
+    @pytest.mark.parametrize("limit", ["1", [1.0], -1.0, float("nan")])
+    def test_bad_time_limit_is_config_error(self, limit):
+        with pytest.raises(ConfigError, match="time limit must be >= 0"):
+            SolverConfig(time_limit_s=limit)
+
+    def test_every_bad_value_reported_together(self):
+        with pytest.raises(ConfigError) as exc:
+            SolverConfig(objective="max", k=2.5, time_limit_s="soon")
+        assert len(exc.value.errors) == 3
+
+    def test_integral_cap_and_numeric_limit_accepted(self, corner_table):
+        assert len(v.candidates(0, corner_table, config=SolverConfig(k=np.int64(3), time_limit_s=1))) == 3
+
+
+class TestOneModelPerSolve:
+    @pytest.mark.parametrize("solver", [v.solve_exact, v.solve_greedy, v.solve_exhaustive])
+    def test_each_solver_builds_one_sinr_model(self, solver, monkeypatch):
+        built = []
+
+        class CountingModel(allocator.SinrModel):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(allocator, "SinrModel", CountingModel)
+        table = random_gain_table(np.random.default_rng(9), n_users=4, n_aps=3)
+        result = solver(range(4), table, config=SolverConfig(k=6))
+        structural_ok(result, range(4))
+        assert len(built) == 1
 
 
 class TestStructuralProperties:

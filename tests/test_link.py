@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,9 +13,12 @@ from vlcwdma.link import (
     ELECTRON_CHARGE_C,
     FEC_FLOOR_DB,
     FEC_THRESHOLD_DB,
+    SinrModel,
     UnsupportedLinkError,
 )
 from vlcwdma.scene import WAVELENGTHS
+
+from conftest import random_gain_table
 
 R, Y, G, B = WAVELENGTHS
 
@@ -248,6 +252,69 @@ class TestSinr:
             + k**2 * sum(i**2 for i in b0.interference_a)
         )
         assert b1.sinr_db == pytest.approx(10 * math.log10(expected_lin), abs=1e-9)
+
+
+class TestSinrModelTerms:
+    """``SinrModel``'s term table against SINR arithmetic written out here."""
+
+    @staticmethod
+    def pow_differs_from_mul(tx_w, resp):
+        """A gain whose current i has ``i ** 2 != i * i`` in the last bit."""
+        for j in range(100_000):
+            gain = 1e-6 * (1.0 + j * 1e-4)
+            i = gain * tx_w * resp
+            if i ** 2 != i * i:
+                return gain
+        raise AssertionError("no such gain")
+
+    @pytest.mark.parametrize("crosstalk", [0.0, 0.05])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_terms_and_sinr_equal_the_formula(self, seed, crosstalk):
+        rng = np.random.default_rng(seed + 500)
+        n_users, n_aps, n_wl = int(rng.integers(2, 6)), int(rng.integers(2, 5)), len(WAVELENGTHS)
+        base = random_gain_table(rng, n_users=n_users, n_aps=n_aps)
+        fe = v.ReceiverFrontEnd(crosstalk=crosstalk)
+        resp = [fe.responsivity(wl) for wl in WAVELENGTHS]
+        dc = base.dc.copy()
+        dc[0, 0, 1, 0] = self.pow_differs_from_mul(float(base.tx_power_w[1, 0]), resp[0])
+        table = v.GainTable(base.user_positions, 4, n_aps, dc, base.bandwidth_hz, base.bandwidth_capped,
+                            base.delay_spread_s, base.los_blocked, np.asarray(base.tx_power_w))
+        model = SinrModel(table, fe)
+
+        def current(u, b, a, k):
+            return float(table.dc[u, b, a, k]) * float(table.tx_power_w[a, k]) * resp[k]
+
+        def term(u, b, k, a, k2):
+            i = current(u, b, a, k2)
+            if k2 == k:
+                return i ** 2
+            return (crosstalk * i) * (crosstalk * i) if crosstalk > 0.0 else 0.0
+
+        currents = np.array([[[[current(u, b, a, k) for k in range(n_wl)] for a in range(n_aps)]
+                              for b in range(4)] for u in range(n_users)])
+        assert model.currents == currents.tolist()
+        assert model.sigma2 == v.noise_variance(currents.sum(axis=(2, 3)), fe.bandwidth_hz, fe).tolist()
+        planted = current(0, 0, 1, 0)
+        assert planted ** 2 != planted * planted
+        assert model.terms[0][0][0][1 * n_wl + 0] == planted ** 2
+        for u, b, k, a, k2 in itertools.product(range(n_users), range(4), range(n_wl), range(n_aps), range(n_wl)):
+            assert model.terms[u][b][k][a * n_wl + k2] == term(u, b, k, a, k2)
+
+        for _ in range(10):
+            resources = rng.permutation(n_aps * n_wl)[:n_users]
+            entries = {u: Candidate(u, int(r) // n_wl, int(rng.integers(4)), WAVELENGTHS[int(r) % n_wl], 0.0)
+                       for u, r in enumerate(resources)}
+            for u, own in entries.items():
+                k = own.wavelength.index
+                i_sig = current(u, own.branch, own.ap, k)
+                denom = model.sigma2[u][own.branch]
+                for other in entries.values():
+                    if other is not own:
+                        denom += term(u, own.branch, k, other.ap, other.wavelength.index)
+                lin = i_sig * i_sig / denom if i_sig > 0.0 else 0.0
+                assert model.sinr_linear(u, own, entries.values()) == lin
+                expected_db = 10.0 * math.log10(lin) if lin > 0.0 else float("-inf")
+                assert v.link_budget(u, entries, table, fe).sinr_db == expected_db
 
 
 class TestDataRate:
