@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import time
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, Sequence
@@ -85,7 +84,6 @@ class Assignment:
 class SolverConfig:
     objective: str = "db"          # "db" (sum of dB values) or "linear"
     k: int = 16                    # candidate cap per user
-    time_limit_s: float | None = None
 
     def __post_init__(self) -> None:
         errors = []
@@ -93,9 +91,6 @@ class SolverConfig:
             errors.append(f"objective must be 'db' or 'linear', got {self.objective!r}")
         if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral) or self.k < 1:
             errors.append(f"candidate cap must be an integer >= 1, got {self.k!r}")
-        if self.time_limit_s is not None and not (isinstance(self.time_limit_s, numbers.Real)
-                                                  and self.time_limit_s >= 0.0):  # NaN fails too
-            errors.append(f"time limit must be >= 0 seconds, got {self.time_limit_s!r}")
         if errors:
             raise ConfigError(errors)
 
@@ -378,9 +373,8 @@ def solve_exact(
     """Branch-and-bound over each user's top-``config.k`` candidates.
 
     Depth-first and best-first; the first complete assignment is the first
-    incumbent. ``proven_optimal`` is relative to the candidate lists. A time
-    limit is checked only once an incumbent exists, and the unproven
-    assignment it then returns depends on the clock.
+    incumbent. The search always runs to proof, so ``proven_optimal`` is
+    true; it is relative to the candidate lists.
     """
     users = list(users)
     if not users:
@@ -396,19 +390,14 @@ def solve_exact(
                  model.currents[u][c.branch][c.ap][c.wavelength.index], model.sigma2[u][c.branch])
                 for c in cand_lists[u]] for u in order]
     db = config.objective == "db"
-    deadline = None if config.time_limit_s is None else time.monotonic() + config.time_limit_s
     incumbent: list[Candidate] | None = None
     best_score = float("-inf")
     best_key: tuple | None = None
-    timed_out = False
 
     def dfs(depth: int, placed: list, denoms: list[float], used: set[int], partial_score: float) -> None:
         """``placed`` scores ``partial_score``; ``denoms[j]`` is placed user j's
         SINR denominator, summed in placement order as ``sinr_linear`` does."""
-        nonlocal best_score, best_key, incumbent, timed_out
-        if timed_out or (incumbent is not None and deadline is not None and time.monotonic() > deadline):
-            timed_out = True
-            return
+        nonlocal best_score, best_key, incumbent
         if depth == len(order):
             cands = [opt[0] for opt in placed]
             score = evaluate(cands)
@@ -447,7 +436,7 @@ def solve_exact(
     dfs(0, [], [], set(), 0.0)
     if incumbent is None:
         raise InfeasibleUserError("no conflict-free assignment exists for the instance")
-    return _finalize(incumbent, evaluate, config, proven=not timed_out)
+    return _finalize(incumbent, evaluate, config, proven=True)
 
 
 def assignment_csv_lines(assignment: Assignment) -> list[str]:

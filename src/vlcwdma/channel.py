@@ -135,11 +135,13 @@ def _receiver_capture(scene: Scene, rx: np.ndarray, branch: BranchSpec, order: i
     es = scene.elements(order)
     w = es.centers - rx
     dr = np.linalg.norm(w, axis=1)
-    u = w / dr[:, None]
-    cos_det = u @ branch.normal.as_array()          # incidence at the detector
-    cos_out = -np.einsum("ij,ij->i", u, es.normals)  # exit at the element
-    gate = (cos_out > 0.0) & (cos_det >= np.cos(np.radians(branch.fov_deg)))
-    R = np.where(gate, cos_out * branch.area_m2 * cos_det / (np.pi * dr * dr), 0.0)
+    # a receiver on an element centre (dr = 0) lies in its plane: NaN cosines gate it to 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = w / dr[:, None]
+        cos_det = u @ branch.normal.as_array()          # incidence at the detector
+        cos_out = -np.einsum("ij,ij->i", u, es.normals)  # exit at the element
+        gate = (cos_out > 0.0) & (cos_det >= np.cos(np.radians(branch.fov_deg)))
+        R = np.where(gate, cos_out * branch.area_m2 * cos_det / (np.pi * dr * dr), 0.0)
     return R, dr
 
 
@@ -182,15 +184,12 @@ def _hoist_first_hop(E: np.ndarray, d_ap: np.ndarray, rows: np.ndarray, cols: np
     """One AP's order-2 first hop folded into the transfer matrix.
 
     ``T``/``D`` are _transfer_matrix(scene, rows, cols) and ``rows`` holds
-    every element the AP lights. Returns (lit elements ii, cols, E[ii] * T,
-    d_ap[ii] + D), the first factor and first sum of each chain, so every
-    (user, branch) of this AP only gathers its columns.
+    every element the AP lights. Returns (rows, cols, E[rows] * T,
+    d_ap[rows] + D), the first factor and first sum of each chain, so every
+    (user, branch) of this AP only gathers its columns. An unlit row has
+    E = 0: its chains add only zero bins, which _trim drops.
     """
-    ii = np.nonzero(E > 0.0)[0]
-    if ii.size < rows.size:   # ii is a subset of rows; when equal, T and D are used as they are
-        at = np.searchsorted(rows, ii)
-        T, D = T[at], D[at]
-    return ii, cols, E[ii, None] * T, d_ap[ii, None] + D
+    return rows, cols, E[rows, None] * T, d_ap[rows, None] + D
 
 
 def _reflectivity_classes(scene: Scene, max_order: int) -> list[list[int]]:
@@ -249,18 +248,18 @@ def _accumulate(
             chains.append((idx, [geo * rho[sel, k] for k in wavelengths]))
             n_bins = max(n_bins, int(idx.max()) + 1)
     if hop2 is not None:
-        ii, cols, ET, DD = hop2
+        rows, cols, ET, DD = hop2
         R, d_rx = capture[2]
         rho = scene.elements(2).reflectivity
         jj = np.nonzero(R > 0.0)[0]
-        if ii.size and jj.size:
+        if rows.size and jj.size:
             at = np.searchsorted(cols, jj)
             # (E * T) * R and (d_ap + D) + d_rx associate as E * T * R and d_ap + D + d_rx do
             geo = ET[:, at] * R[None, jj]
             delays = (DD[:, at] + d_rx[None, jj]) / SPEED_OF_LIGHT_M_S
             idx = np.rint(delays / dt).astype(np.int64).ravel()
             # one reflectivity factor per bounce
-            chains.append((idx, [(geo * (rho[ii, k][:, None] * rho[jj, k][None, :])).ravel()
+            chains.append((idx, [(geo * (rho[rows, k][:, None] * rho[jj, k][None, :])).ravel()
                                  for k in wavelengths]))
             n_bins = max(n_bins, int(idx.max()) + 1)
 

@@ -113,12 +113,19 @@ _KEYS: dict[str, dict[str, tuple[str, type, int]]] = {
                 "dispersion_factor": ("dispersion_factor", float, 0)},
     "frontend": {"n0": ("noise_density_a_rthz", float, 0), "b_rx": ("bandwidth_hz", float, 0),
                  "crosstalk": ("crosstalk", float, 0)},
-    "solver": {"mode": ("solver_mode", str, 0), "objective": ("objective", str, 0),
-               "k": ("k", int, 0), "time_limit_s": ("time_limit_s", float, 0)},
+    "solver": {"mode": ("solver_mode", str, 0), "objective": ("objective", str, 0), "k": ("k", int, 0)},
     "room": {"name": ("name", str, 0)},
     "room.reflectivity": {"wall": ("wall_rho", float, 0), "ceiling": ("ceiling_rho", float, 0),
                           "floor": ("floor_rho", float, 0)},  # default_surfaces' arguments
     "room.aps[]": {"ld_count": ("ld_count", int, 0), "lambertian_m": ("lambertian_m", float, 0)},
+}
+# The keys of each section read apart from _KEYS. A key in neither is reported,
+# so a misspelt or retired key cannot fall back to its default unnoticed.
+_OTHER_KEYS: dict[str, set[str]] = {
+    "": {"room", "scenario", "users", "channel", "frontend", "solver"},
+    "frontend": {"responsivities"},
+    "room": {"dims", "aps", "reflectivity"},
+    "room.aps[]": {"position", "ld_power_w"},
 }
 
 
@@ -143,8 +150,10 @@ def _convert(value, kind: type, label: str):
 
 
 def _read(data: dict, section: str, errors: list[str], where: str | None = None) -> dict:
-    """Keyword arguments from the present, non-null keys of one section."""
+    """Keyword arguments from the present, non-null keys of one section; reports unknown keys."""
     where = (section and f"{section}.") if where is None else where
+    errors.extend(f"{where}{key}: unknown key" for key in data
+                  if key not in _KEYS[section] and key not in _OTHER_KEYS.get(section, ()))
     kwargs = {}
     for key, (name, kind, exp) in _KEYS[section].items():
         if data.get(key) is not None:
@@ -167,6 +176,9 @@ def _build(cls, kwargs: dict, errors: list[str], where: str):
 
 
 def _room_from_mapping(data: dict, errors: list[str]) -> RoomSpec | None:
+    named = _read(data, "room", errors)
+    refl = _section(data, "reflectivity", errors, "room.")
+    surfaces = default_surfaces(**_read(refl, "room.reflectivity", errors))
     dims = data.get("dims")
     try:
         if not isinstance(dims, (list, tuple)):
@@ -175,8 +187,6 @@ def _room_from_mapping(data: dict, errors: list[str]) -> RoomSpec | None:
     except (TypeError, ValueError):
         errors.append("room.dims must be [width, length, height]")
         return None
-    refl = _section(data, "reflectivity", errors, "room.")
-    surfaces = default_surfaces(**_read(refl, "room.reflectivity", errors))
     aps = []
     aps_raw = data.get("aps") or []
     for i, entry in enumerate(aps_raw if isinstance(aps_raw, list) else []):
@@ -191,7 +201,7 @@ def _room_from_mapping(data: dict, errors: list[str]) -> RoomSpec | None:
     if not aps:
         errors.append("room.aps must list at least one access point")
         return None
-    return RoomSpec(width, length, height, surfaces, tuple(aps), **_read(data, "room", errors))
+    return RoomSpec(width, length, height, surfaces, tuple(aps), **named)
 
 
 def read_yaml(path: str):

@@ -355,6 +355,112 @@ class TestTransferMatrix:
         assert asked[0][0] * asked[0][1] < n * n
 
 
+def box_tiles(width, length, height, dx, rho):
+    """(centre, inward normal, reflectivity) of each dx-square tile of a box, built by hand."""
+    def mids(extent):
+        return [(i + 0.5) * dx for i in range(round(extent / dx))]
+    tiles = []
+    for x in mids(width):
+        for y in mids(length):
+            tiles += [((x, y, 0.0), (0.0, 0.0, 1.0), rho["floor"]),
+                      ((x, y, height), (0.0, 0.0, -1.0), rho["ceiling"])]
+    for z in mids(height):
+        for y in mids(length):
+            tiles += [((0.0, y, z), (1.0, 0.0, 0.0), rho["wall"]),
+                      ((width, y, z), (-1.0, 0.0, 0.0), rho["wall"])]
+        for x in mids(width):
+            tiles += [((x, 0.0, z), (0.0, 1.0, 0.0), rho["wall"]),
+                      ((x, length, z), (0.0, -1.0, 0.0), rho["wall"])]
+    return tiles
+
+
+def order2_oracle(tiles, area, ap_pos, m, rx, bn, fov_deg, pd_area, dt):
+    """Order-2 bins {bin: gain} of a downward AP, by a pure-Python loop over
+    AP -> tile -> tile -> detector chains, one reflectivity per bounce."""
+    def sub(a, b):
+        return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    cos_fov = math.cos(math.radians(fov_deg))
+    bins = {}
+    for c1, n1, rho1 in tiles:
+        v1 = sub(c1, ap_pos)
+        d1 = math.sqrt(dot(v1, v1))
+        cos_phi, cos_in1 = -v1[2] / d1, -dot(v1, n1) / d1
+        if cos_phi <= 0.0 or cos_in1 <= 0.0:
+            continue
+        first = (m + 1.0) / (2.0 * math.pi * d1 * d1) * cos_phi**m * cos_in1 * area
+        for c2, n2, rho2 in tiles:
+            if c2 == c1:
+                continue
+            v12 = sub(c2, c1)
+            d12 = math.sqrt(dot(v12, v12))
+            cos_out1, cos_in2 = dot(v12, n1) / d12, -dot(v12, n2) / d12
+            w = sub(rx, c2)
+            d2 = math.sqrt(dot(w, w))
+            cos_out2, cos_det = dot(w, n2) / d2, -dot(w, bn) / d2
+            if cos_out1 <= 0.0 or cos_in2 <= 0.0 or cos_out2 <= 0.0 or cos_det < cos_fov:
+                continue
+            gain = (first * rho1 * cos_out1 * cos_in2 * area / (math.pi * d12 * d12)
+                    * rho2 * cos_out2 * pd_area * cos_det / (math.pi * d2 * d2))
+            k = round(((d1 + d12) + d2) / SPEED_OF_LIGHT_M_S / dt)  # the kernel's summation order
+            bins[k] = bins.get(k, 0.0) + gain
+    return bins
+
+
+def absolute_bins(ir, n):
+    """``ir``'s bins placed at their absolute indices t / dt in an array of length n."""
+    out = np.zeros(n)
+    start = round(ir.t0 / ir.dt)
+    out[start:start + ir.bins.size] = ir.bins
+    return out
+
+
+class TestOrder2Oracle:
+    @pytest.mark.parametrize("branch", [WIDE_ZENITH, ZENITH])
+    def test_order2_matches_brute_force_oracle(self, room_b, branch):
+        # Room B at 1 m: 80 tiles per order. WIDE_ZENITH sees LOS, order 1 and order 2;
+        # ZENITH sees only ceiling tiles, which only order 2 reaches
+        scene = v.discretize(room_b, 1.0, 1.0)
+        tiles = box_tiles(4.0, 4.0, 3.0, 1.0, {"floor": 0.3, "ceiling": 0.8, "wall": 0.8})
+        assert len(tiles) == scene.elements(2).areas.size == 80
+        ap, rx = room_b.aps[0], (2.0, 2.0, 1.0)
+        oracle = order2_oracle(tiles, 1.0, (1.0, 1.0, 3.0), 1.0, rx, (0.0, 0.0, 1.0),
+                               branch.fov_deg, branch.area_m2, DEFAULT_DT_S)
+        ir1, ir2 = (v.impulse_response(scene, ap, Vec3(*rx), branch, Wavelength.RED, max_order=k)
+                    for k in (1, 2))
+        increment = v.dc_gain(ir2) - v.dc_gain(ir1)
+        assert increment == pytest.approx(math.fsum(oracle.values()), rel=1e-12)
+        n = max(round(ir2.t0 / ir2.dt) + ir2.bins.size, max(oracle) + 1)
+        total = absolute_bins(ir2, n)
+        expected = np.zeros(n)
+        expected[list(oracle)] = list(oracle.values())
+        # order 2 is the last term added to each bin; the subtraction rounds by at most one ulp
+        per_bin = total - absolute_bins(ir1, n)
+        assert np.all(np.abs(per_bin - expected) <= 1e-12 * expected + np.spacing(total))
+        if branch is ZENITH:
+            assert v.dc_gain(ir1) == 0.0 and len(oracle) > 1
+
+    def test_enclosure_rule(self, room_b):
+        # view factors from one tile to all others, and an AP's first-hop fractions, sum to 1
+        # in a closed room (Siegel & Howell). The midpoint rule's excess falls about 4.2x per
+        # halving in the median; next to a perpendicular surface it does not converge
+        excess = []
+        for dx in (0.5, 0.25):
+            scene = v.discretize(room_b, dx, dx)
+            every = np.arange(scene.elements(2).areas.size)
+            T, _ = channel._transfer_matrix(scene, every, every)
+            rows = T.sum(axis=1)
+            assert rows.max() <= 1.24   # corner tiles: 1.2394 at 0.5 m, 1.2385 at 0.25 m
+            first_hop = channel._ap_illumination(scene, room_b.aps[0], 2)[0].sum()
+            excess.append((np.median(rows) - 1.0, first_hop - 1.0))
+        (row_coarse, ap_coarse), (row_fine, ap_fine) = excess
+        assert row_fine > 0.0 and ap_fine > 0.0
+        assert row_coarse >= 3.0 * row_fine and ap_coarse >= 3.0 * ap_fine
+
+
 def floor_scene(r, y, g, b):
     floor = SurfaceSpec("floor", {Wavelength.RED: r, Wavelength.YELLOW: y,
                                   Wavelength.GREEN: g, Wavelength.BLUE: b})
@@ -471,6 +577,15 @@ class TestGainMatrix:
         assert np.any(np.all(np.isclose(centres[:, None, :], aps[None, :, :]), axis=2))
         table = v.gain_matrix(scene, v.scenario_preset("A", 1)[:1], max_order=2)
         assert np.all(np.isfinite(table.dc)) and np.all(table.dc >= 0.0)
+
+    def test_receiver_on_an_element_centre_traces_without_warnings(self, scene_b):
+        # Room B at 0.25 m puts a floor element's centre at (0.125, 0.125, 0); RuntimeWarnings are errors here
+        rx = Vec3(0.125, 0.125, 0.0)
+        assert np.any(np.all(np.isclose(scene_b.elements(1).centers, rx.as_array()), axis=1))
+        table = v.gain_matrix(scene_b, [rx], max_order=2)
+        assert np.all(np.isfinite(table.dc)) and np.all(table.dc >= 0.0)
+        R, dr = channel._receiver_capture(scene_b, rx.as_array(), default_branches()[0], 1)
+        assert np.all(R[dr == 0.0] == 0.0)
 
     def test_cells_agree_with_impulse_response(self, scene_b):
         # the two entry points build their geometry factors separately

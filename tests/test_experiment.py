@@ -95,7 +95,10 @@ class TestLoadConfig:
         ("workers: many", "workers must be a number"),
         ("solver: {k: x}", "solver.k must be a number"),
         ("solver: {k: .inf}", "solver.k must be a number"),
-        ("solver: {time_limit_s: soon}", "solver.time_limit_s must be a number"),
+        ("solver: {time_limit_s: 5}", "solver.time_limit_s: unknown key"),
+        ("channel: {dx1: 0.1}", "channel.dx1: unknown key"),
+        ("frontend: {crosstalk: 0, xtalk: 0.1}", "frontend.xtalk: unknown key"),
+        ("wrkers: 3", "wrkers: unknown key"),
         ("solver: {k: 2.5}", "solver.k must be an integer"),
         ("channel: {order: 1.7}", "channel.order must be an integer"),
         ("channel: {order: true}", "channel.order must be an integer"),
@@ -122,8 +125,6 @@ class TestLoadConfig:
         ("frontend: {b_rx: .inf}", "receiver bandwidth must be > 0 and finite"),
         ("frontend: {b_rx: .nan}", "receiver bandwidth must be > 0 and finite"),
         ("frontend: {n0: .inf}", "noise current spectral density must be > 0 and finite"),
-        ("solver: {time_limit_s: -1}", "time limit must be >= 0"),
-        ("solver: {time_limit_s: .nan}", "time limit must be >= 0"),
         ("frontend: {responsivities: {R: -1, Y: 0.35, G: 0.3, B: 0.2}}", "responsivity for R must be > 0 and finite"),
         ("frontend: {responsivities: {R: 0.4, Y: .inf, G: 0.3, B: 0.2}}", "responsivity for Y must be > 0 and finite"),
         ("workers: 0", "workers must be >= 1"),
@@ -158,6 +159,10 @@ class TestLoadConfig:
         ("{dims: [4, 4, 3], aps: [{position: [1, 1, 3], lambertian_m: .nan}]}", "Lambertian mode m must be >= 1 and finite"),
         ("{dims: [4, 4, 3], aps: [[1, 1, 3], {position: [3, 3, 3], ld_count: 2.5}]}",
          "room.aps[1].ld_count must be an integer"),
+        ("{dims: [4, 4, 3], aps: [[1, 1, 3], {position: [3, 3, 3], ld_cuont: 2}]}",
+         "room.aps[1].ld_cuont: unknown key"),
+        ("{dims: [4, 4, x], aps: [[1, 1, 3]], reflectivity: {wal: 0.5}, colour: red}",
+         "room.colour: unknown key; room.reflectivity.wal: unknown key; room.dims must be"),
     ])
     def test_bad_inline_room_value_is_config_error(self, tmp_path, room, problem):
         path = tmp_path / "exp.yaml"
@@ -181,7 +186,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("text", [
         "frontend: {n0: -1, b_rx: -1, crosstalk: 2}",
-        "solver: {k: 0, time_limit_s: -1, objective: x}",
+        "solver: {k: 0, mode: x, objective: x}",
     ])
     def test_every_range_problem_of_a_section_is_reported(self, tmp_path, text):
         path = tmp_path / "exp.yaml"
@@ -328,7 +333,7 @@ class TestCli:
     def test_flags_override_only_what_they_name(self, tmp_path, monkeypatch):
         cfg = tmp_path / "exp.yaml"
         cfg.write_text("room: B\nscenario: 2\nchannel: {order: 1}\n"
-                       "solver: {mode: greedy, k: 8, time_limit_s: 5}\nworkers: 2\n")
+                       "solver: {mode: greedy, k: 8, objective: linear}\nworkers: 2\n")
         seen = []
         monkeypatch.setattr(cli, "run_experiment",
                             lambda config: seen.append(config) or SimpleNamespace(exit_code=0))
@@ -337,10 +342,10 @@ class TestCli:
         assert cli_main(["run", "--room", str(cfg), "--out", out, "--order", "0", "--k", "4"]) == 0
         file_only, flagged = seen
         assert (file_only.solver_mode, file_only.max_order, file_only.workers) == ("greedy", 1, 2)
-        assert (file_only.solver.k, file_only.solver.time_limit_s) == (8, 5)
+        assert (file_only.solver.k, file_only.solver.objective) == (8, "linear")
         assert file_only.out_dir == out
         assert (flagged.max_order, flagged.solver.k) == (0, 4)
-        assert (flagged.solver_mode, flagged.solver.time_limit_s, flagged.workers) == ("greedy", 5, 2)
+        assert (flagged.solver_mode, flagged.solver.objective, flagged.workers) == ("greedy", "linear", 2)
 
     def test_exhaustive_solver_flag_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -356,6 +361,14 @@ class TestCli:
         assert cli_main(["run", "--room", str(cfg), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert "dt_s must be > 0" in err and "dx1_m must be in" in err and "candidate cap" in err
+
+    def test_retired_time_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        # exact always runs to proof; an old file's limit is reported, not dropped
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("room: B\nscenario: 1\nsolver: {time_limit_s: 5}\n")
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("config was accepted"))
+        assert cli_main(["run", "--room", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "error: solver.time_limit_s: unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", ["[1, 2, 1, 4]", "5", "[a, 1]"])
     def test_malformed_users_file_is_config_error(self, tmp_path, capsys, entry):
