@@ -26,20 +26,15 @@ from .channel import (
     los_contribution,
     metrics_from_response,
     rms_delay_spread,
-    write_impulse_response_csv,
 )
 from .link import (
-    LinkBudget,
     LinkReport,
     ReceiverFrontEnd,
+    SinrModel,
     UnsupportedLinkError,
-    classify_light,
     data_rate,
-    link_budget,
     link_report,
     noise_variance,
-    photocurrent,
-    sinr,
 )
 from .allocator import (
     Assignment,
@@ -48,7 +43,6 @@ from .allocator import (
     SearchSpaceLimitError,
     SolverConfig,
     candidates,
-    objective,
     solve_exact,
     solve_exhaustive,
     solve_greedy,

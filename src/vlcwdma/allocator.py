@@ -131,23 +131,11 @@ def _candidates(user: int, model: SinrModel, config: SolverConfig) -> list[Candi
     return out[: config.k]
 
 
-def objective(
-    assignment: Assignment | Mapping[int, Candidate],
-    table: GainTable,
-    front_end: ReceiverFrontEnd = DEFAULT_FRONT_END,
-    config: SolverConfig = SolverConfig(),
-) -> float:
-    """Exact objective: sum of the users' SINRs, on the configured scale."""
-    entries = assignment.entries if isinstance(assignment, Assignment) else dict(assignment)
-    # fixed summation order, independent of dict order
-    return _score(SinrModel(table, front_end), [entries[u] for u in sorted(entries)], config.objective)
-
-
 def _finalize(picks: Sequence[Candidate], evaluate, config: SolverConfig, proven: bool) -> Assignment:
     entries = {c.user: c for c in picks}
     result = Assignment(
         entries=entries,
-        objective_value=evaluate([entries[u] for u in sorted(entries)]),  # objective()'s order
+        objective_value=evaluate([entries[u] for u in sorted(entries)]),  # user order, not dict order
         objective_scale=config.objective,
         proven_optimal=proven,
     )

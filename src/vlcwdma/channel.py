@@ -580,10 +580,3 @@ def gain_matrix(
     tx = np.array([[ap.power_w(wl) for wl in WAVELENGTHS] for ap in scene.room.aps])
     return GainTable(list(users), n_b, n_a, dc, bw, capped, ds, blocked, tx,
                      scene_fingerprint=scene.fingerprint, max_order=max_order)
-
-
-def write_impulse_response_csv(ir: ImpulseResponse, path: str) -> None:
-    lines = ["time_s,gain_per_bin"]
-    for t, g in zip(ir.times, ir.bins):
-        lines.append(f"{float(t)!r},{float(g)!r}")
-    atomic_write(path, "\n".join(lines) + "\n")

@@ -46,9 +46,13 @@ def _config_from_args(args) -> ExperimentConfig:
     else:
         raise ConfigError([f"--room {args.room!r} is neither a preset id nor an existing file"])
 
+    errors = []
     if args.scenario is not None and os.path.exists(args.scenario):
         users = read_yaml(args.scenario)
-        raw["users"] = users.get("users", users) if isinstance(users, dict) else users
+        if isinstance(users, dict):  # a mapping holds the list under `users` and nothing else
+            errors = [f"{args.scenario}: {key}: unknown key" for key in users if key != "users"]
+            users = users.get("users")
+        raw["users"] = users
     elif args.scenario is not None:
         raw.pop("users", None)
         raw["scenario"] = args.scenario
@@ -66,7 +70,13 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.workers is not None:
         raw["workers"] = args.workers
     raw["out"] = args.out
-    return parse_config(raw)
+    try:
+        config = parse_config(raw)
+    except ConfigError as exc:
+        errors += exc.errors
+    if errors:
+        raise ConfigError(errors)
+    return config
 
 
 def main(argv=None) -> int:

@@ -6,9 +6,14 @@ Received light at a branch splits three ways (per the WDMA taxonomy):
   interference  co-wavelength modulated light from APs serving other users
   background    everything else -- unmodulated (AP, wavelength) pairs kept
                 on for illumination, plus other-wavelength modulated light
-                rejected by the ideal demultiplexer
+                rejected by the demultiplexer
 
-Background never enters the interference sum; it only adds shot noise.
+Every pair radiates whether modulated or not, so all of this light sets the
+shot noise in a branch's noise floor. An interferer of current ``i`` adds
+``i ** 2`` to the SINR denominator. Under crosstalk ``x`` a fraction ``x`` of
+other-wavelength modulated light leaks past the demultiplexer and adds
+``(x * i) ** 2``. ``SinrModel`` tabulates these terms, and every SINR is
+``i_sig ** 2 / (noise floor + the terms of the other assigned pairs)``.
 """
 
 from __future__ import annotations
@@ -68,15 +73,6 @@ DEFAULT_FRONT_END = ReceiverFrontEnd()
 
 
 @dataclass(frozen=True)
-class LinkBudget:
-    signal_a: float
-    interference_a: tuple[float, ...]
-    background_a: tuple[float, ...]
-    noise_var_a2: float
-    sinr_db: float
-
-
-@dataclass(frozen=True)
 class LinkReport:
     user: int
     ap: int
@@ -86,16 +82,6 @@ class LinkReport:
     bandwidth_hz: float
     rate_bps: float
     fec_engaged: bool
-
-
-def photocurrent(
-    gain: float, p_tx_w: float, wavelength: Wavelength,
-    front_end: ReceiverFrontEnd = DEFAULT_FRONT_END,
-) -> float:
-    """I = R(wl) * P_tx * gain."""
-    if gain < 0.0 or p_tx_w < 0.0:
-        raise ValueError("gain and transmit power must be >= 0")
-    return front_end.responsivity(wavelength) * p_tx_w * gain
 
 
 def noise_variance(
@@ -152,76 +138,20 @@ class SinrModel:
                 denom += row[other.ap * _N_WL + other.wavelength.index]
         return i_sig * i_sig / denom
 
-    def link_budget(self, user: int, assignment: Mapping[int, object]) -> LinkBudget:
-        """Full current/noise/SINR breakdown for one user under an assignment."""
-        own = assignment[user]
-        _, interference, background = classify_light(user, assignment, self.table)
-        seen = self.currents[user][own.branch]  # [ap][wavelength index]
-        lin = self.sinr_linear(user, own, assignment.values())
-        return LinkBudget(
-            signal_a=seen[own.ap][own.wavelength.index],
-            interference_a=tuple(seen[a][wl.index] for a, wl in interference),
-            background_a=tuple(seen[a][wl.index] for a, wl in background),
-            noise_var_a2=self.sigma2[user][own.branch],
-            sinr_db=10.0 * math.log10(lin) if lin > 0.0 else float("-inf"),
-        )
-
     def link_report(self, user: int, assignment: Mapping[int, object]) -> LinkReport:
         """Evaluate one user's assigned link end to end."""
         own = assignment[user]
-        budget = self.link_budget(user, assignment)
-        if budget.signal_a <= 0.0:
+        if self.currents[user][own.branch][own.ap][own.wavelength.index] <= 0.0:
             raise ValueError(f"user {user} has zero signal gain on its assignment")
+        lin = self.sinr_linear(user, own, assignment.values())
+        sinr_db = 10.0 * math.log10(lin) if lin > 0.0 else float("-inf")
         metrics = self.table.metrics(user, own.branch, own.ap, own.wavelength)
-        rate, fec = data_rate(metrics.bandwidth_hz, budget.sinr_db)
+        rate, fec = data_rate(metrics.bandwidth_hz, sinr_db)
         return LinkReport(
             user=user, ap=own.ap, branch=own.branch, wavelength=own.wavelength,
-            sinr_db=budget.sinr_db, bandwidth_hz=metrics.bandwidth_hz,
+            sinr_db=sinr_db, bandwidth_hz=metrics.bandwidth_hz,
             rate_bps=rate, fec_engaged=fec,
         )
-
-
-def classify_light(user: int, assignment: Mapping[int, object], table: GainTable):
-    """Partition every (AP, wavelength) pair into signal / interference / background.
-
-    ``assignment`` maps each user to an entry with ``ap``, ``branch`` and
-    ``wavelength`` attributes (0-based indices). Every pair not assigned to
-    any user stays on as unmodulated illumination and is background, as is
-    other-wavelength modulated light.
-    """
-    if user not in assignment:
-        raise KeyError(f"user {user} missing from assignment")
-    own = assignment[user]
-    signal = (own.ap, own.wavelength)
-    modulated = {(entry.ap, entry.wavelength) for v, entry in assignment.items() if v != user}
-    interference = []
-    background = []
-    for a in range(table.n_aps):
-        for wl in WAVELENGTHS:
-            pair = (a, wl)
-            if pair == signal:
-                continue
-            if wl == own.wavelength and pair in modulated:
-                interference.append(pair)
-            else:
-                background.append(pair)
-    return signal, interference, background
-
-
-def link_budget(
-    user: int, assignment: Mapping[int, object], table: GainTable,
-    front_end: ReceiverFrontEnd = DEFAULT_FRONT_END,
-) -> LinkBudget:
-    """Full current/noise/SINR breakdown for one user under an assignment."""
-    return SinrModel(table, front_end).link_budget(user, assignment)
-
-
-def sinr(
-    user: int, assignment: Mapping[int, object], table: GainTable,
-    front_end: ReceiverFrontEnd = DEFAULT_FRONT_END,
-) -> float:
-    """Electrical SINR in dB; -inf when the signal gain is zero."""
-    return link_budget(user, assignment, table, front_end).sinr_db
 
 
 def data_rate(
@@ -247,7 +177,7 @@ def link_report(
     user: int, assignment: Mapping[int, object], table: GainTable,
     front_end: ReceiverFrontEnd = DEFAULT_FRONT_END,
 ) -> LinkReport:
-    """Evaluate one user's assigned link end to end."""
+    """One report through a model built for this call; ``SinrModel`` serves many."""
     return SinrModel(table, front_end).link_report(user, assignment)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,19 @@ def random_gain_table(rng, n_users=4, n_aps=4, n_branches=4, p_zero=0.3):
     tx = np.tile(np.array([7.2, 4.5, 2.7, 2.7]), (n_aps, 1))
     users = [Vec3(0.0, 0.0, 1.0)] * n_users
     return v.GainTable(users, n_branches, n_aps, gains, bw, capped, ds, blocked, tx)
+
+
+def sinr_db(model, user, entries):
+    """``user``'s SINR in dB under the assignment ``entries``; -inf without signal."""
+    lin = model.sinr_linear(user, entries[user], entries.values())
+    return 10.0 * math.log10(lin) if lin > 0.0 else float("-inf")
+
+
+def objective_of(model, entries, scale="db"):
+    """The users' SINRs summed in sorted-user order, in dB or linear, as the
+    solvers score an assignment; -inf if any user has no signal."""
+    cands = [entries[u] for u in sorted(entries)]
+    lins = [model.sinr_linear(c.user, c, cands) for c in cands]
+    if any(lin <= 0.0 for lin in lins):
+        return float("-inf")
+    return sum(10.0 * math.log10(lin) if scale == "db" else lin for lin in lins)

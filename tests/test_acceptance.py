@@ -236,7 +236,7 @@ def test_criterion_8_physics_arithmetic_goldens(single_ap_scene):
         failures.append(f"oracle SINR {golden_db:.3f} dB not ~21.2 dB")
     table = v.gain_matrix(single_ap_scene, [Vec3(0.5, 1.5, 1.0)], max_order=0)
     assignment = v.solve_exact([0], table)
-    pipeline_db = v.sinr(0, assignment.entries, table)
+    pipeline_db = v.SinrModel(table).link_report(0, assignment.entries).sinr_db
     if abs(pipeline_db - golden_db) > 0.1:
         failures.append(f"pipeline {pipeline_db:.4f} dB vs golden {golden_db:.4f} dB")
     print(f"        (golden {golden_db:.4f} dB, pipeline {pipeline_db:.4f} dB)")

@@ -16,9 +16,10 @@ from vlcwdma.allocator import (
     assignment_csv_lines,
 )
 from vlcwdma.geometry import Vec3
+from vlcwdma.link import SinrModel
 from vlcwdma.scene import WAVELENGTHS, ConfigError
 
-from conftest import random_gain_table
+from conftest import objective_of, random_gain_table, sinr_db
 
 R, Y, G, B = WAVELENGTHS
 
@@ -77,7 +78,7 @@ class TestCandidates:
         # interference-free annotation equals the SINR of the user alone
         cands = v.candidates(0, corner_table, config=SolverConfig(k=4))
         top = cands[0]
-        alone = v.sinr(0, {0: top}, corner_table)
+        alone = sinr_db(SinrModel(corner_table), 0, {0: top})
         assert top.iso_sinr_db == pytest.approx(alone, abs=1e-9)
 
 
@@ -85,7 +86,8 @@ class TestObjective:
     def test_single_user_equals_sinr(self, corner_table):
         top = v.candidates(0, corner_table)[0]
         entries = {0: top}
-        assert v.objective(entries, corner_table) == v.sinr(0, entries, corner_table)
+        model = SinrModel(corner_table)
+        assert objective_of(model, entries) == sinr_db(model, 0, entries)
 
     def test_two_users_on_distinct_wavelengths_nearly_decouple(self, scene_b_module):
         table = v.gain_matrix(scene_b_module, [Vec3(0.5, 0.5, 1.0), Vec3(3.5, 3.5, 1.0)],
@@ -93,8 +95,9 @@ class TestObjective:
         c0 = v.candidates(0, table)[0]
         c1 = next(c for c in v.candidates(1, table) if c.wavelength != c0.wavelength)
         entries = {0: c0, 1: c1}
-        joint = v.objective(entries, table)
-        isolated = v.sinr(0, {0: c0}, table) + v.sinr(1, {1: c1}, table)
+        model = SinrModel(table)
+        joint = objective_of(model, entries)
+        isolated = sinr_db(model, 0, {0: c0}) + sinr_db(model, 1, {1: c1})
         assert joint == pytest.approx(isolated, abs=0.1)
 
     def test_same_wavelength_with_visible_interferer_scores_lower(self):
@@ -110,7 +113,8 @@ class TestObjective:
         c0 = Candidate(0, 0, 0, R, 0.0)
         same = Candidate(1, 1, 0, R, 0.0)
         diff = Candidate(1, 1, 0, Y, 0.0)
-        assert v.objective({0: c0, 1: same}, table) < v.objective({0: c0, 1: diff}, table)
+        model = SinrModel(table)
+        assert objective_of(model, {0: c0, 1: same}) < objective_of(model, {0: c0, 1: diff})
 
     def test_minus_inf_propagates(self):
         table = random_gain_table(np.random.default_rng(1))
@@ -121,7 +125,7 @@ class TestObjective:
             table = v.GainTable(table.user_positions, 4, 4, dc, table.bandwidth_hz,
                                 table.bandwidth_capped, table.delay_spread_s,
                                 table.los_blocked, np.asarray(table.tx_power_w))
-        assert v.objective({0: dead}, table) == float("-inf")
+        assert allocator._score(SinrModel(table), [dead], "db") == float("-inf")
 
 
 class TestExhaustive:
@@ -153,7 +157,7 @@ class TestExhaustive:
             u: Candidate(u, ap_perm[c.ap], br_perm[c.branch], c.wavelength, c.iso_sinr_db)
             for u, c in r1.entries.items()
         }
-        assert v.objective(image, t2) == pytest.approx(r2.objective_value, abs=1e-6)
+        assert objective_of(SinrModel(t2), image) == pytest.approx(r2.objective_value, abs=1e-6)
 
     def test_space_limit_enforced(self):
         rng = np.random.default_rng(3)
@@ -200,10 +204,12 @@ class TestExact:
         exact = v.solve_exact(range(4), table, leaky, cfg)
         oracle = v.solve_exhaustive(range(4), table, leaky, cfg)
         assert exact.objective_value == oracle.objective_value
-        per_user_db = [v.link_budget(u, exact.entries, table, leaky).sinr_db for u in range(4)]
+        model = SinrModel(table, leaky)
+        per_user_db = [sinr_db(model, u, exact.entries) for u in range(4)]
         expected = sum(per_user_db if objective == "db" else [10 ** (db / 10) for db in per_user_db])
-        assert v.objective(exact.entries, table, leaky, cfg) == pytest.approx(expected, abs=1e-9)
-        assert v.objective(exact.entries, table, config=cfg) > exact.objective_value
+        assert objective_of(model, exact.entries, objective) == exact.objective_value
+        assert exact.objective_value == pytest.approx(expected, abs=1e-9)
+        assert objective_of(SinrModel(table), exact.entries, objective) > exact.objective_value
 
     def test_room_a_scale_proves_optimum(self):
         scene = v.discretize(v.standard_room("A"))
@@ -224,8 +230,9 @@ class TestExact:
             rng = np.random.default_rng(seed + 100)
             table = random_gain_table(rng, n_users=4)
             result = v.solve_exact(range(4), table, config=SolverConfig(k=8))
+            model = SinrModel(table)
             for u, cand in result.entries.items():
-                final = v.sinr(u, result.entries, table)
+                final = sinr_db(model, u, result.entries)
                 assert final <= cand.iso_sinr_db + 1e-9
 
 
@@ -323,6 +330,7 @@ class TestGreedy:
             table = random_gain_table(rng, n_users=n_users)
             result = v.solve_greedy(range(n_users), table, config=cfg)
             picks = result.entries
+            model = SinrModel(table)
             cands = [v.candidates(u, table, config=cfg) for u in range(n_users)]
             for ua, ub in itertools.combinations(range(n_users), 2):
                 taken = {picks[x].resource for x in picks if x not in (ua, ub)}
@@ -330,7 +338,7 @@ class TestGreedy:
                     for cb in cands[ub]:
                         if {ca.resource, cb.resource} & taken or ca.resource == cb.resource:
                             continue
-                        moved = v.objective({**picks, ua: ca, ub: cb}, table, config=cfg)
+                        moved = objective_of(model, {**picks, ua: ca, ub: cb}, objective)
                         assert moved <= result.objective_value + 1e-9, (seed, ua, ub)
 
     def test_deterministic(self):

@@ -635,15 +635,3 @@ class TestCsvIO:
         assert loaded.scene_fingerprint == table.scene_fingerprint
         assert [(p.x, p.y, p.z) for p in loaded.user_positions] == \
                [(p.x, p.y, p.z) for p in table.user_positions]
-
-    def test_impulse_response_export(self, single_ap_scene, tmp_path):
-        ap = single_ap_scene.room.aps[0]
-        ir = v.impulse_response(single_ap_scene, ap, Vec3(0.5, 1.5, 1.0), BR315,
-                                Wavelength.RED, max_order=0)
-        path = tmp_path / "ir.csv"
-        v.write_impulse_response_csv(ir, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "time_s,gain_per_bin"
-        assert len(lines) == 1 + ir.bins.size
-        t, g = (float(x) for x in lines[1].split(","))
-        assert g == ir.bins[0]

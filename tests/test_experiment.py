@@ -314,15 +314,31 @@ class TestCli:
                          "--solver", "greedy", "--out", out])
         assert code == 0
 
-    def test_users_file_run(self, tmp_path):
+    @pytest.mark.parametrize("text", ["users:\n  - [2.0, 2.0, 1.0]\n", "- [2.0, 2.0, 1.0]\n"],
+                             ids=["mapping", "bare_list"])
+    def test_users_file_run(self, tmp_path, text):
         users = tmp_path / "users.yaml"
-        users.write_text("users:\n  - [2.0, 2.0, 1.0]\n")
+        users.write_text(text)
         out = str(tmp_path / "users_out")
         code = cli_main(["run", "--room", "B", "--scenario", str(users),
                          "--order", "0", "--solver", "exact", "--out", out])
         assert code == 0
         lines = open(os.path.join(out, "report.csv")).read().strip().splitlines()
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("text, key", [
+        ("users:\n  - [2.0, 2.0, 1.0]\nz_default: 1.5\n", "z_default"),
+        ("userz:\n  - [2.0, 2.0, 1.0]\n", "userz"),
+    ])
+    def test_users_file_unknown_key_exits_2(self, tmp_path, capsys, monkeypatch, text, key):
+        users = tmp_path / "users.yaml"
+        users.write_text(text)
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("config was accepted"))
+        code = cli_main(["run", "--room", "B", "--scenario", str(users), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {users}: {key}: unknown key" in err
+        assert "users must be a list" not in err
 
     def test_element_size_flag(self, tmp_path):
         out = str(tmp_path / "el_out")

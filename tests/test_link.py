@@ -18,7 +18,7 @@ from vlcwdma.link import (
 )
 from vlcwdma.scene import WAVELENGTHS
 
-from conftest import random_gain_table
+from conftest import random_gain_table, sinr_db
 
 R, Y, G, B = WAVELENGTHS
 
@@ -43,24 +43,6 @@ def manual_table(n_users, n_aps, cells, bandwidth_hz=10e9):
     )
 
 
-class TestPhotocurrent:
-    def test_red_aggregate(self):
-        assert v.photocurrent(1.334e-6, 7.2, R) == pytest.approx(0.4 * 7.2 * 1.334e-6, rel=1e-15)
-        assert v.photocurrent(1.334e-6, 7.2, R) == pytest.approx(3.841e-6, rel=1e-3)
-
-    def test_zero_gain(self):
-        assert v.photocurrent(0.0, 7.2, R) == 0.0
-
-    def test_blue_is_half_of_red(self):
-        i_red = v.photocurrent(1e-6, 5.0, R)
-        i_blue = v.photocurrent(1e-6, 5.0, B)
-        assert i_blue == pytest.approx(0.5 * i_red, rel=1e-15)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            v.photocurrent(-1e-6, 7.2, R)
-
-
 class TestNoiseVariance:
     def test_preamp_only(self):
         var = v.noise_variance(0.0, 5e9)
@@ -83,14 +65,17 @@ class TestNoiseVariance:
             v.noise_variance(1e-6, 0.0)
 
 
-class TestClassifyLight:
+class TestLightTaxonomy:
+    """Signal, interference and background, as ``SinrModel`` sees them."""
+
     def test_degenerate_single_user(self):
-        table = manual_table(1, 1, {(0, 0, 0, R): 1e-6})
-        assignment = {0: Candidate(0, 0, 0, R, 0.0)}
-        signal, interference, background = v.classify_light(0, assignment, table)
-        assert signal == (0, R)
-        assert interference == []
-        assert len(background) == 3  # own AP's Y/G/B
+        # the sole user's own AP's Y/G/B are background: noise floor only
+        table = manual_table(1, 1, {(0, 0, 0, wl): 1e-6 for wl in WAVELENGTHS})
+        model = SinrModel(table)
+        own = Candidate(0, 0, 0, R, 0.0)
+        seen = model.currents[0][0][0]
+        assert model.sigma2[0][0] == pytest.approx(v.noise_variance(sum(seen), 5e9), rel=1e-15)
+        assert model.sinr_linear(0, own, [own]) == seen[R.index] ** 2 / model.sigma2[0][0]
 
     def test_figure_two_scenario(self):
         # three APs, two wavelengths in play: u0 alone on blue,
@@ -108,24 +93,31 @@ class TestClassifyLight:
             1: Candidate(1, 1, 0, R, 0.0),
             2: Candidate(2, 2, 0, R, 0.0),
         }
-        _, int0, bg0 = v.classify_light(0, assignment, table)
-        assert int0 == []          # sole blue user: background noise only
-        assert len(bg0) == 11
-        _, int1, _ = v.classify_light(1, assignment, table)
-        assert int1 == [(2, R)]    # the other red AP interferes
-        _, int2, _ = v.classify_light(2, assignment, table)
-        assert int2 == [(1, R)]
+        model = SinrModel(table)
+        entries = assignment.values()
+        # sole blue user: the red users change nothing
+        blue = assignment[0]
+        assert model.sinr_linear(0, blue, entries) == model.sinr_linear(0, blue, [blue])
+        # each red user's denominator holds exactly the other red AP's term
+        for u, other_ap in ((1, 2), (2, 1)):
+            own = assignment[u]
+            i_sig = model.currents[u][0][own.ap][R.index]
+            i_int = model.currents[u][0][other_ap][R.index]
+            assert model.terms[u][0][R.index][other_ap * 4 + R.index] == i_int ** 2
+            assert model.sinr_linear(u, own, entries) == i_sig * i_sig / (model.sigma2[u][0] + i_int ** 2)
 
     def test_partition_is_complete(self):
-        table = manual_table(2, 4, {(0, 0, 0, R): 1e-6, (1, 0, 1, R): 1e-6})
-        assignment = {0: Candidate(0, 0, 0, R, 0.0), 1: Candidate(1, 1, 0, R, 0.0)}
-        signal, interference, background = v.classify_light(0, assignment, table)
-        assert 1 + len(interference) + len(background) == 4 * 4
+        # every (AP, wavelength) pair's light enters the noise floor once
+        table = manual_table(2, 4, {(0, 0, a, wl): 1e-6 * (a + 1) for a in range(4) for wl in WAVELENGTHS})
+        model = SinrModel(table)
+        seen = model.currents[0][0]
+        assert len(model.terms[0][0][R.index]) == 4 * 4
+        assert model.sigma2[0][0] == pytest.approx(v.noise_variance(np.sum(seen), 5e9), rel=1e-15)
 
     def test_missing_user(self):
         table = manual_table(1, 1, {(0, 0, 0, R): 1e-6})
         with pytest.raises(KeyError):
-            v.classify_light(1, {0: Candidate(0, 0, 0, R, 0.0)}, table)
+            SinrModel(table).link_report(1, {0: Candidate(0, 0, 0, R, 0.0)})
 
 
 def isolated_assignment(gain):
@@ -150,7 +142,7 @@ class TestSinr:
 
         table = v.gain_matrix(single_ap_scene, [Vec3(0.5, 1.5, 1.0)], max_order=0)
         assignment = v.solve_exact([0], table)
-        pipeline_db = v.sinr(0, assignment.entries, table)
+        pipeline_db = sinr_db(SinrModel(table), 0, assignment.entries)
         assert pipeline_db == pytest.approx(GOLDEN_ISOLATED_SINR_DB, abs=0.1)
         assert pipeline_db == pytest.approx(GOLDEN_ISOLATED_SINR_DB, abs=1e-6)
 
@@ -161,7 +153,7 @@ class TestSinr:
         cells.update({(1, 0, 1, wl): gain for wl in WAVELENGTHS})
         table = manual_table(2, 2, cells)
         assignment = {0: Candidate(0, 0, 3, R, 0.0), 1: Candidate(1, 1, 0, R, 0.0)}
-        assert v.sinr(0, assignment, table) < 0.0
+        assert sinr_db(SinrModel(table), 0, assignment) < 0.0
 
     def test_out_of_fov_interferer_is_harmless(self):
         gain = 1.334e-6
@@ -171,12 +163,13 @@ class TestSinr:
         both = {0: Candidate(0, 0, 3, R, 0.0), 1: Candidate(1, 1, 0, R, 0.0)}
         alone_table, alone = isolated_assignment(gain)
         # user 0 sees zero gain from AP 2, so the co-channel user changes nothing
-        assert v.sinr(0, both, table) == pytest.approx(v.sinr(0, alone, alone_table), abs=1e-12)
+        assert sinr_db(SinrModel(table), 0, both) == pytest.approx(
+            sinr_db(SinrModel(alone_table), 0, alone), abs=1e-12)
 
     def test_zero_signal_gain_sentinel(self):
         table = manual_table(1, 1, {(0, 0, 0, R): 0.0})
-        assignment = {0: Candidate(0, 0, 0, R, 0.0)}
-        assert v.sinr(0, assignment, table) == float("-inf")
+        own = Candidate(0, 0, 0, R, 0.0)
+        assert SinrModel(table).sinr_linear(0, own, [own]) == 0.0
 
     def test_interferer_strictly_decreases_and_removal_recovers(self):
         gain = 1.334e-6
@@ -187,13 +180,16 @@ class TestSinr:
         both = {0: Candidate(0, 0, 3, R, 0.0), 1: Candidate(1, 1, 0, R, 0.0)}
         # removal: same table, interfering pair retired to background
         solo = {0: Candidate(0, 0, 3, R, 0.0)}
-        with_int = v.sinr(0, both, table)
-        without = v.sinr(0, solo, table)
+        model = SinrModel(table)
+        with_int = sinr_db(model, 0, both)
+        without = sinr_db(model, 0, solo)
         assert with_int < without
-        budget = v.link_budget(0, both, table)
-        solo_budget = v.link_budget(0, solo, table)
-        # background set differs but total current (hence noise) is identical
-        assert budget.noise_var_a2 == pytest.approx(solo_budget.noise_var_a2, rel=1e-15)
+        # background set differs but total current (hence noise) is identical:
+        # removal leaves the noise floor alone, retiring the pair's i ** 2 only
+        i_sig = model.currents[0][3][0][R.index]
+        i_int = model.currents[0][3][1][R.index]
+        assert without == 10 * math.log10(i_sig * i_sig / model.sigma2[0][3])
+        assert with_int == 10 * math.log10(i_sig * i_sig / (model.sigma2[0][3] + i_int ** 2))
 
     def test_background_enters_noise_only(self):
         gain = 1.334e-6
@@ -204,12 +200,15 @@ class TestSinr:
         table = manual_table(2, 2, cells)
         red = {0: Candidate(0, 0, 3, R, 0.0), 1: Candidate(1, 1, 0, R, 0.0)}
         yellow = {0: Candidate(0, 0, 3, R, 0.0), 1: Candidate(1, 1, 0, Y, 0.0)}
-        b_red = v.link_budget(0, red, table)
-        b_yel = v.link_budget(0, yellow, table)
-        # same radiated field either way: identical noise, different interference
-        assert b_red.noise_var_a2 == pytest.approx(b_yel.noise_var_a2, rel=1e-15)
-        assert len(b_red.interference_a) == 1 and len(b_yel.interference_a) == 0
-        assert b_yel.sinr_db > b_red.sinr_db
+        model = SinrModel(table)
+        # same radiated field either way, so one noise floor; only the
+        # co-wavelength pair adds a term to the denominator
+        row = model.terms[0][3][R.index]
+        assert row[1 * 4 + R.index] == model.currents[0][3][1][R.index] ** 2 > 0.0
+        assert row[1 * 4 + Y.index] == 0.0
+        i_sig = model.currents[0][3][0][R.index]
+        assert sinr_db(model, 0, yellow) == 10 * math.log10(i_sig * i_sig / model.sigma2[0][3])
+        assert sinr_db(model, 0, yellow) > sinr_db(model, 0, red)
 
     def test_crosstalk_knob_adds_leakage_interference(self):
         gain = 1.334e-6
@@ -218,16 +217,15 @@ class TestSinr:
         cells[(1, 0, 1, Y)] = 1e-6
         table = manual_table(2, 2, cells)
         assignment = {0: Candidate(0, 0, 3, R, 0.0), 1: Candidate(1, 1, 0, Y, 0.0)}
-        ideal = v.link_budget(0, assignment, table)
-        leaky_fe = v.ReceiverFrontEnd(crosstalk=0.05)
-        leaky = v.link_budget(0, assignment, table, leaky_fe)
-        assert leaky.sinr_db < ideal.sinr_db
+        ideal = SinrModel(table)
+        leaky = SinrModel(table, v.ReceiverFrontEnd(crosstalk=0.05))
+        assert sinr_db(leaky, 0, assignment) < sinr_db(ideal, 0, assignment)
         # noise is unchanged; only the interference sum grows by (ct*I)^2
-        assert leaky.noise_var_a2 == pytest.approx(ideal.noise_var_a2, rel=1e-15)
+        assert leaky.sigma2 == ideal.sigma2
+        i_sig = ideal.currents[0][3][0][R.index]
         i_leak = 0.05 * 0.35 * 4.5 * 5e-7
-        expected = 10 * math.log10(
-            ideal.signal_a**2 / (ideal.noise_var_a2 + i_leak**2))
-        assert leaky.sinr_db == pytest.approx(expected, abs=1e-9)
+        expected = 10 * math.log10(i_sig**2 / (ideal.sigma2[0][3] + i_leak**2))
+        assert sinr_db(leaky, 0, assignment) == pytest.approx(expected, abs=1e-9)
 
     def test_power_scaling_formula(self):
         gain = 1.0e-6
@@ -243,15 +241,15 @@ class TestSinr:
             np.asarray(base.tx_power_w * k),
         )
         assignment = {0: Candidate(0, 0, 3, R, 0.0), 1: Candidate(1, 1, 0, R, 0.0)}
-        b0 = v.link_budget(0, assignment, base, fe)
-        b1 = v.link_budget(0, assignment, scaled, fe)
-        i_tot0 = b0.signal_a + sum(b0.interference_a) + sum(b0.background_a)
-        expected_lin = (k * b0.signal_a) ** 2 / (
+        seen = SinrModel(base, fe).currents[0][3]  # [ap][wavelength index]
+        i_sig, i_int = seen[0][R.index], seen[1][R.index]
+        i_tot0 = sum(sum(row) for row in seen)
+        expected_lin = (k * i_sig) ** 2 / (
             fe.noise_density_a_rthz**2 * fe.bandwidth_hz
             + 2 * ELECTRON_CHARGE_C * k * i_tot0 * fe.bandwidth_hz
-            + k**2 * sum(i**2 for i in b0.interference_a)
+            + k**2 * i_int**2
         )
-        assert b1.sinr_db == pytest.approx(10 * math.log10(expected_lin), abs=1e-9)
+        assert sinr_db(SinrModel(scaled, fe), 0, assignment) == pytest.approx(10 * math.log10(expected_lin), abs=1e-9)
 
 
 class TestSinrModelTerms:
@@ -314,8 +312,37 @@ class TestSinrModelTerms:
                 lin = i_sig * i_sig / denom if i_sig > 0.0 else 0.0
                 assert model.sinr_linear(u, own, entries.values()) == lin
                 expected_db = 10.0 * math.log10(lin) if lin > 0.0 else float("-inf")
-                assert v.link_budget(u, entries, table, fe).sinr_db == expected_db
+                if expected_db >= FEC_FLOOR_DB:
+                    assert model.link_report(u, entries).sinr_db == expected_db
+                else:  # no signal or below the FEC floor: no report
+                    with pytest.raises(ValueError):
+                        model.link_report(u, entries)
 
+
+    def test_b1_crosstalk_reports_equal_the_formula(self, tmp_path):
+        # the reports of a preset run under crosstalk, against SINRs summed here
+        x = 0.05
+        config = v.preset_config("B", 1, max_order=1, front_end=v.ReceiverFrontEnd(crosstalk=x),
+                                 out_dir=str(tmp_path))
+        result = v.run_experiment(config, echo=None)
+        model = SinrModel(result.table, config.front_end)
+        entries = result.assignment.entries
+        leaked = 0.0
+        for report in result.reports:
+            own = entries[report.user]
+            seen = model.currents[report.user][own.branch]  # [ap][wavelength index]
+            i_sig = seen[own.ap][own.wavelength.index]
+            denom = model.sigma2[report.user][own.branch]
+            for other in entries.values():  # entry order
+                if other is not own:
+                    i = seen[other.ap][other.wavelength.index]
+                    if other.wavelength == own.wavelength:
+                        denom += i ** 2
+                    else:
+                        denom += (x * i) * (x * i)
+                        leaked += i
+            assert report.sinr_db == 10 * math.log10(i_sig * i_sig / denom)
+        assert leaked > 0.0  # leaked light reaches the served branches
 
 class TestDataRate:
     def test_above_threshold(self):
