@@ -314,9 +314,14 @@ class TestCli:
                          "--solver", "greedy", "--out", out])
         assert code == 0
 
-    @pytest.mark.parametrize("text", ["users:\n  - [2.0, 2.0, 1.0]\n", "- [2.0, 2.0, 1.0]\n"],
-                             ids=["mapping", "bare_list"])
-    def test_users_file_run(self, tmp_path, text):
+    def test_users_file_run(self, tmp_path):
+        self._users_file_run(tmp_path, "users:\n  - [2.0, 2.0, 1.0]\n")
+
+    def test_users_file_bare_list_run(self, tmp_path):
+        self._users_file_run(tmp_path, "- [2.0, 2.0, 1.0]\n")
+
+    @staticmethod
+    def _users_file_run(tmp_path, text):
         users = tmp_path / "users.yaml"
         users.write_text(text)
         out = str(tmp_path / "users_out")

@@ -29,7 +29,7 @@ GOLDEN_ISOLATED_SINR_DB = 21.185207231208118
 DEFAULT_TX = np.array([7.2, 4.5, 2.7, 2.7])
 
 
-def manual_table(n_users, n_aps, cells, bandwidth_hz=10e9):
+def manual_table(n_users, n_aps, cells, bandwidth_hz=10e9, tx=DEFAULT_TX):
     """GainTable with explicit gains: cells maps (u, b, a, wl) -> gain."""
     shape = (n_users, 4, n_aps, 4)
     dc = np.zeros(shape)
@@ -39,8 +39,29 @@ def manual_table(n_users, n_aps, cells, bandwidth_hz=10e9):
     return v.GainTable(
         [Vec3(0, 0, 1)] * n_users, 4, n_aps, dc, bw,
         np.ones(shape, bool), np.zeros(shape), np.zeros(shape, bool),
-        np.tile(DEFAULT_TX, (n_aps, 1)),
+        np.tile(tx, (n_aps, 1)),
     )
+
+
+class TestPhotocurrent:
+    """``SinrModel.currents``: responsivity x transmit power x DC gain."""
+
+    def test_red_aggregate(self):
+        i_red = SinrModel(manual_table(1, 1, {(0, 0, 0, R): 1.334e-6})).currents[0][0][0][R.index]
+        assert i_red == pytest.approx(0.4 * 7.2 * 1.334e-6, rel=1e-15)
+        assert i_red == pytest.approx(3.841e-6, rel=1e-3)
+
+    def test_zero_gain(self):
+        assert SinrModel(manual_table(1, 1, {(0, 0, 0, R): 0.0})).currents[0][0][0][R.index] == 0.0
+
+    def test_blue_is_half_of_red(self):
+        table = manual_table(1, 1, {(0, 0, 0, R): 1e-6, (0, 0, 0, B): 1e-6}, tx=np.full(4, 5.0))
+        seen = SinrModel(table).currents[0][0][0]
+        assert seen[B.index] == pytest.approx(0.5 * seen[R.index], rel=1e-15)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            manual_table(1, 1, {(0, 0, 0, R): -1e-6})
 
 
 class TestNoiseVariance:
@@ -65,7 +86,7 @@ class TestNoiseVariance:
             v.noise_variance(1e-6, 0.0)
 
 
-class TestLightTaxonomy:
+class TestClassifyLight:
     """Signal, interference and background, as ``SinrModel`` sees them."""
 
     def test_degenerate_single_user(self):
